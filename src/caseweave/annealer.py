@@ -32,12 +32,12 @@ from .wfnet import (
     DEFAULT_STATE_BUDGET,
     AlignmentCache,
     Marking,
+    MarkingNode,
     WorkflowNet,
-    advance,
-    enabled_activities,
+    enabled_activities,  # noqa: F401  re-exported: part of this module's namespace
     infer_start_activity,
-    is_final,
     log_alignment_cost,
+    thaw,
 )
 
 
@@ -97,9 +97,13 @@ class CaseRun:
     """Mutable per-case decoder state."""
 
     case_id: str
+    node: MarkingNode
     events: list[Event] = field(default_factory=list)
-    marking: Marking = field(default_factory=dict)
     closed: bool = False
+
+    @property
+    def marking(self) -> Marking:
+        return thaw(self.node.marking)
 
     def as_case(self) -> Case:
         return Case(self.case_id, tuple(self.events))
@@ -116,7 +120,6 @@ class StreamDecoder:
         start_activity: str | None = None,
         marking_budget: int = DEFAULT_MARKING_BUDGET,
     ) -> None:
-        self.net = net
         self.rules = rules
         self.rng = rng
         self.marking_budget = marking_budget
@@ -125,6 +128,7 @@ class StreamDecoder:
             if start_activity is not None
             else infer_start_activity(net, marking_budget)
         )
+        self.initial = net.node(net.initial_marking())
         self.cases: dict[str, CaseRun] = {}
         self.order: list[CaseRun] = []
         self.assignment: dict[int, str] = {}
@@ -137,18 +141,18 @@ class StreamDecoder:
             case_id = f"c{n}"
         if case_id in self.cases:
             raise InputError(f"case id {case_id} already open")
-        run = CaseRun(case_id=case_id, marking=self.net.initial_marking())
+        run = CaseRun(case_id=case_id, node=self.initial)
         self.cases[case_id] = run
         self.order.append(run)
         return run
 
     def _advance(self, run: CaseRun, activity: str) -> bool:
         """Replay ``activity`` in the case's marking if reachable; update closed."""
-        nxt = advance(self.net, run.marking, activity, self.marking_budget)
+        nxt = run.node.moves(self.marking_budget).get(activity)
         if nxt is None:
             return False
-        run.marking = nxt
-        run.closed = is_final(self.net, nxt, self.marking_budget)
+        run.node = nxt
+        run.closed = nxt.final(self.marking_budget)
         return True
 
     def _pick(self, candidates: Sequence[CaseRun], event: Event) -> CaseRun:
@@ -173,9 +177,7 @@ class StreamDecoder:
             fitting = [
                 run
                 for run in self.order
-                if not run.closed
-                and event.activity
-                in enabled_activities(self.net, run.marking, self.marking_budget)
+                if not run.closed and event.activity in run.node.moves(self.marking_budget)
             ]
             if fitting:
                 chosen = self._pick(fitting, event)
@@ -218,23 +220,22 @@ def replay_prefix(
         decoder.assignment[event.index] = case_id
 
 
-def _duration_samples(log: EventLog) -> list[tuple[str, int]]:
-    """(activity, elapsed minutes) for every non-first event of every case."""
+def _duration_stats(log: EventLog) -> tuple[list[tuple[str, int]], dict[str, float]]:
+    """(activity, elapsed minutes) per non-first event of each case, and each activity's mean."""
     samples: list[tuple[str, int]] = []
+    per_activity: dict[str, list[int]] = {}
     for case in log.cases:
         for position in range(2, len(case.events) + 1):
-            samples.append(
-                (case.events[position - 1].activity, elapsed_time(case, position))
-            )
-    return samples
+            activity = case.events[position - 1].activity
+            duration = elapsed_time(case, position)
+            samples.append((activity, duration))
+            per_activity.setdefault(activity, []).append(duration)
+    return samples, {act: sum(vals) / len(vals) for act, vals in per_activity.items()}
 
 
 def duration_means(log: EventLog) -> dict[str, float]:
     """Mean elapsed time per activity, over non-first events of each case."""
-    per_activity: dict[str, list[int]] = {}
-    for activity, duration in _duration_samples(log):
-        per_activity.setdefault(activity, []).append(duration)
-    return {act: sum(vals) / len(vals) for act, vals in per_activity.items()}
+    return _duration_stats(log)[1]
 
 
 def time_variance(log: EventLog) -> float:
@@ -243,10 +244,9 @@ def time_variance(log: EventLog) -> float:
     Durations are taken per case over every non-first event; the denominator is
     the count of such events.  A log of singleton cases scores 0.
     """
-    samples = _duration_samples(log)
+    samples, mean = _duration_stats(log)
     if not samples:
         return 0.0
-    mean = duration_means(log)
     return sum((mean[act] - duration) ** 2 for act, duration in samples) / len(samples)
 
 
@@ -385,8 +385,9 @@ def run(
     order, which keeps parallel output identical to serial output.
     """
     config = config or AnnealerConfig()
-    if config.population < 1 or config.s_max < 1:
-        raise InputError("population and s_max must be at least 1")
+    for name in ("population", "s_max", "workers", "marking_budget", "state_budget"):
+        if getattr(config, name) < 1:
+            raise InputError(f"{name} must be at least 1, got {getattr(config, name)}")
     start_activity = infer_start_activity(net, config.marking_budget)
     cache = AlignmentCache()
     master = random.Random(config.seed)

@@ -162,20 +162,21 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"strptime pattern for CSV timestamps (default {shown})",
         )
 
+    defaults = AnnealerConfig()
     p = sub.add_parser("correlate", parents=[], help="assign case ids to an event stream")
     p.add_argument("--log", required=True, help="input CSV event stream")
     p.add_argument("--model", required=True, help="workflow net as PNML")
     p.add_argument("--rules", help="correlation rule file (optional)")
     p.add_argument("--out", required=True, help="output CSV with case ids")
     p.add_argument("--trace-out", help="iteration trace CSV")
-    p.add_argument("--tau-init", type=float, default=100.0)
-    p.add_argument("--levels", type=int, default=10, help="annealing levels")
-    p.add_argument("--population", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--marking-budget", type=int, default=10_000,
+    p.add_argument("--tau-init", type=float, default=defaults.tau_init)
+    p.add_argument("--levels", type=int, default=defaults.s_max, help="annealing levels")
+    p.add_argument("--population", type=int, default=defaults.population)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--workers", type=int, default=defaults.workers)
+    p.add_argument("--marking-budget", type=int, default=defaults.marking_budget,
                    help="max markings per silent-closure search")
-    p.add_argument("--state-budget", type=int, default=1_000_000,
+    p.add_argument("--state-budget", type=int, default=defaults.state_budget,
                    help="max states per alignment search")
     add_timestamp_format(p)
     p.set_defaults(func=_cmd_correlate)

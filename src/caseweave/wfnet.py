@@ -5,9 +5,16 @@ there) and one sink place; transitions either carry an activity label or are
 silent.  Finality is covering: a marking is final when the sink place holds a
 token, possibly after firing silent transitions only.
 
+Each net keeps a marking table with one interned :class:`MarkingNode` per
+distinct marking seen.  A node lazily holds its enabled transitions with their
+target nodes, the node each activity advances to through the silent closure,
+and its finality; the decoder, the reachability check and alignment all walk
+this one successor relation.  Functions taking a ``Marking`` dict are
+adapters onto the table.
+
 Alignment follows the usual move costs: synchronous moves and silent model
 moves are free, visible model moves and log moves cost 1.  The search is
-uniform-cost A* over (marking, trace position) pairs with an admissible
+uniform-cost A* over (marking node, trace position) pairs with an admissible
 heuristic counting trace symbols that label no transition at all.
 """
 
@@ -16,7 +23,7 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import EventLog, InputError
 
@@ -74,8 +81,85 @@ def thaw(frozen: FrozenMarking) -> Marking:
     return dict(frozen)
 
 
+class MarkingNode:
+    """One interned marking of a net; obtain nodes from :meth:`WorkflowNet.node`.
+
+    Each fact is computed on first use and published with a single attribute
+    store, so threads sharing a net at worst compute the same fact twice.
+    """
+
+    __slots__ = ("net", "marking", "_successors", "_moves", "_final")
+
+    def __init__(self, net: WorkflowNet, marking: FrozenMarking) -> None:
+        self.net = net
+        self.marking = marking
+        self._successors: tuple[tuple[Transition, MarkingNode], ...] | None = None
+        self._moves: dict[str, MarkingNode] | None = None
+        self._final: bool | None = None
+
+    def holds(self, place: str) -> bool:
+        """True when ``place`` carries a token."""
+        return any(p == place for p, _n in self.marking)
+
+    def successors(self) -> tuple[tuple[Transition, MarkingNode], ...]:
+        """Directly enabled transitions with their target nodes, in definition order."""
+        if self._successors is None:
+            net, tokens = self.net, thaw(self.marking)
+            self._successors = tuple(
+                (t, net.node(fire(net, tokens, t.tid)))
+                for t in net.transitions
+                if _is_enabled(net, tokens, t.tid)
+            )
+        return self._successors
+
+    def reachable(self, budget: int, silent_only: bool) -> Iterator[MarkingNode]:
+        """Nodes reachable from this one, itself first, in BFS order.
+
+        Transitions are tried in definition order, so the first node satisfying
+        a predicate is the deterministic choice.  Raises BudgetExceeded past
+        ``budget`` distinct markings.
+        """
+        seen = {self}
+        queue = [self]
+        for node in queue:  # the list grows behind the loop: a FIFO queue
+            yield node
+            for t, nxt in node.successors():
+                if (silent_only and not t.silent) or nxt in seen:
+                    continue
+                if len(seen) >= budget:
+                    search = "silent closure" if silent_only else "reachability"
+                    raise BudgetExceeded(f"{search} exceeded {budget} markings")
+                seen.add(nxt)
+                queue.append(nxt)
+
+    def moves(self, budget: int) -> dict[str, MarkingNode]:
+        """Activity -> node after firing it behind the shortest silent prefix.
+
+        The keys are the activities enabled through the silent closure.  Ties
+        go to BFS order over silent firings, then to definition order among
+        transitions sharing the label.
+        """
+        if self._moves is None:
+            moves: dict[str, MarkingNode] = {}
+            for node in self.reachable(budget, silent_only=True):
+                for t, nxt in node.successors():
+                    if t.label is not None and t.label not in moves:
+                        moves[t.label] = nxt
+            self._moves = moves
+        return self._moves
+
+    def final(self, budget: int) -> bool:
+        """True when the sink place can be covered by firing silent transitions only."""
+        if self._final is None:
+            out_place = self.net.output_place
+            # no early exit: a closure past the budget raises here as in moves()
+            closure = list(self.reachable(budget, silent_only=True))
+            self._final = any(node.holds(out_place) for node in closure)
+        return self._final
+
+
 class WorkflowNet:
-    """Immutable net structure plus memoized closure/advance lookups.
+    """Immutable net structure plus its lazily grown marking table.
 
     Arcs connect places to transitions or transitions to places, weight 1.
     Construction validates referential integrity only; semantic soundness
@@ -115,15 +199,7 @@ class WorkflowNet:
         self._sources = tuple(p for p in self.places if place_in[p] == 0)
         self._sinks = tuple(p for p in self.places if place_out[p] == 0)
         self.labels = frozenset(t.label for t in self.transitions if t.label is not None)
-        by_label: dict[str, list[Transition]] = {}
-        for t in self.transitions:
-            if t.label is not None:
-                by_label.setdefault(t.label, []).append(t)
-        self._by_label = {label: tuple(ts) for label, ts in by_label.items()}
-        self._silent = tuple(t for t in self.transitions if t.silent)
-        self._lock = threading.Lock()
-        self._closure_memo: dict[FrozenMarking, tuple[frozenset[str], bool]] = {}
-        self._advance_memo: dict[tuple[FrozenMarking, str], FrozenMarking | None] = {}
+        self._nodes: dict[FrozenMarking, MarkingNode] = {}
 
     @property
     def input_place(self) -> str:
@@ -139,6 +215,12 @@ class WorkflowNet:
 
     def initial_marking(self) -> Marking:
         return {self.input_place: 1}
+
+    def node(self, marking: Marking) -> MarkingNode:
+        """The table's node for ``marking``, added on first sight."""
+        key = freeze(marking)
+        # one setdefault call: threads racing on a new marking get the same node
+        return self._nodes.setdefault(key, MarkingNode(self, key))
 
     def transition(self, tid: str) -> Transition:
         for t in self.transitions:
@@ -174,72 +256,18 @@ def fire(net: WorkflowNet, marking: Marking, tid: str) -> Marking:
     return new
 
 
-def _silent_closure(
-    net: WorkflowNet, marking: Marking, budget: int
-) -> list[tuple[FrozenMarking, Marking, tuple[str, ...]]]:
-    """BFS over silent-only firings; shortest silent path per marking.
-
-    Returns entries in BFS order (definition order among silent transitions),
-    so the first entry satisfying a predicate is the deterministic choice.
-    Raises BudgetExceeded past ``budget`` distinct markings.
-    """
-    start = freeze(marking)
-    seen = {start}
-    out = [(start, dict(marking), ())]
-    queue = [(dict(marking), ())]
-    while queue:
-        current, path = queue.pop(0)
-        for t in net._silent:
-            if not _is_enabled(net, current, t.tid):
-                continue
-            nxt = fire(net, current, t.tid)
-            key = freeze(nxt)
-            if key in seen:
-                continue
-            if len(seen) >= budget:
-                raise BudgetExceeded(f"silent closure exceeded {budget} markings")
-            seen.add(key)
-            entry = path + (t.tid,)
-            out.append((key, nxt, entry))
-            queue.append((nxt, entry))
-    return out
-
-
-def _closure_facts(
-    net: WorkflowNet, marking: Marking, budget: int
-) -> tuple[frozenset[str], bool]:
-    """(activities enabled through the closure, finality) for a marking, memoized."""
-    key = freeze(marking)
-    hit = net._closure_memo.get(key)
-    if hit is not None:
-        return hit
-    acts: set[str] = set()
-    final = False
-    out_place = net.output_place
-    for _frozen, m, _path in _silent_closure(net, marking, budget):
-        if m.get(out_place, 0) >= 1:
-            final = True
-        for t in net.transitions:
-            if t.label is not None and _is_enabled(net, m, t.tid):
-                acts.add(t.label)
-    facts = (frozenset(acts), final)
-    with net._lock:
-        net._closure_memo[key] = facts
-    return facts
-
-
 def enabled_activities(
     net: WorkflowNet, marking: Marking, budget: int = DEFAULT_MARKING_BUDGET
 ) -> frozenset[str]:
     """Activity labels fireable from ``marking`` after any silent prefix."""
-    return _closure_facts(net, marking, budget)[0]
+    return frozenset(net.node(marking).moves(budget))
 
 
 def is_final(
     net: WorkflowNet, marking: Marking, budget: int = DEFAULT_MARKING_BUDGET
 ) -> bool:
     """True when the sink place can be covered by firing silent transitions only."""
-    return _closure_facts(net, marking, budget)[1]
+    return net.node(marking).final(budget)
 
 
 def advance(
@@ -251,23 +279,10 @@ def advance(
     """Fire ``activity`` after the shortest silent prefix; None if unreachable.
 
     Deterministic: BFS order over silent firings, definition order among
-    transitions sharing the label.  Memoized per (marking, activity).
+    transitions sharing the label (see :meth:`MarkingNode.moves`).
     """
-    key = (freeze(marking), activity)
-    if key in net._advance_memo:
-        hit = net._advance_memo[key]
-        return None if hit is None else thaw(hit)
-    result: Marking | None = None
-    for _frozen, m, _path in _silent_closure(net, marking, budget):
-        for t in net._by_label.get(activity, ()):
-            if _is_enabled(net, m, t.tid):
-                result = fire(net, m, t.tid)
-                break
-        if result is not None:
-            break
-    with net._lock:
-        net._advance_memo[key] = None if result is None else freeze(result)
-    return result
+    target = net.node(marking).moves(budget).get(activity)
+    return None if target is None else thaw(target.marking)
 
 
 def infer_start_activity(net: WorkflowNet, budget: int = DEFAULT_MARKING_BUDGET) -> str:
@@ -348,26 +363,9 @@ def validate_net(
 
 def _final_reachable(net: WorkflowNet, budget: int) -> bool:
     """Token-game BFS from the initial marking until a final marking appears."""
-    start = net.initial_marking()
-    seen = {freeze(start)}
-    queue = [start]
+    start = net.node(net.initial_marking())
     out_place = net.output_place
-    while queue:
-        m = queue.pop(0)
-        if m.get(out_place, 0) >= 1:
-            return True
-        for t in net.transitions:
-            if not _is_enabled(net, m, t.tid):
-                continue
-            nxt = fire(net, m, t.tid)
-            key = freeze(nxt)
-            if key in seen:
-                continue
-            if len(seen) >= budget:
-                raise BudgetExceeded(f"reachability exceeded {budget} markings")
-            seen.add(key)
-            queue.append(nxt)
-    return False
+    return any(node.holds(out_place) for node in start.reachable(budget, silent_only=False))
 
 
 def align_trace(
@@ -389,12 +387,12 @@ def align_trace(
         h[i] = h[i + 1] + (0 if trace[i] in net.labels else 1)
 
     out_place = net.output_place
-    start = (freeze(net.initial_marking()), 0)
+    start = (net.node(net.initial_marking()), 0)
     counter = 0
-    heap: list[tuple[int, int, int, tuple[FrozenMarking, int]]] = [(h[0], 0, counter, start)]
-    best_g: dict[tuple[FrozenMarking, int], int] = {start: 0}
-    parent: dict[tuple[FrozenMarking, int], tuple[tuple[FrozenMarking, int], Move]] = {}
-    settled: set[tuple[FrozenMarking, int]] = set()
+    heap: list[tuple[int, int, int, tuple[MarkingNode, int]]] = [(h[0], 0, counter, start)]
+    best_g: dict[tuple[MarkingNode, int], int] = {start: 0}
+    parent: dict[tuple[MarkingNode, int], tuple[tuple[MarkingNode, int], Move]] = {}
+    settled: set[tuple[MarkingNode, int]] = set()
 
     while heap:
         _f, g, _c, state = heapq.heappop(heap)
@@ -403,9 +401,8 @@ def align_trace(
         settled.add(state)
         if len(settled) > state_budget:
             raise BudgetExceeded(f"alignment exceeded {state_budget} states")
-        fm, pos = state
-        marking = thaw(fm)
-        if pos == n and marking.get(out_place, 0) >= 1:
+        node, pos = state
+        if pos == n and node.holds(out_place):
             moves: list[Move] = []
             cur = state
             while cur in parent:
@@ -414,7 +411,7 @@ def align_trace(
             moves.reverse()
             return Alignment(cost=g, moves=tuple(moves))
 
-        def push(nstate: tuple[FrozenMarking, int], ng: int, move: Move) -> None:
+        def push(nstate: tuple[MarkingNode, int], ng: int, move: Move) -> None:
             nonlocal counter
             if nstate in settled:
                 return
@@ -426,18 +423,15 @@ def align_trace(
             counter += 1
             heapq.heappush(heap, (ng + h[nstate[1]], ng, counter, nstate))
 
-        for t in net.transitions:
-            if not _is_enabled(net, marking, t.tid):
-                continue
-            nfm = freeze(fire(net, marking, t.tid))
+        for t, nxt in node.successors():
             if t.silent:
-                push((nfm, pos), g, Move("model", None, t.tid))
+                push((nxt, pos), g, Move("model", None, t.tid))
             else:
                 if pos < n and t.label == trace[pos]:
-                    push((nfm, pos + 1), g, Move("sync", t.label, t.tid))
-                push((nfm, pos), g + 1, Move("model", t.label, t.tid))
+                    push((nxt, pos + 1), g, Move("sync", t.label, t.tid))
+                push((nxt, pos), g + 1, Move("model", t.label, t.tid))
         if pos < n:
-            push((fm, pos + 1), g + 1, Move("log", trace[pos], None))
+            push((node, pos + 1), g + 1, Move("log", trace[pos], None))
     raise BudgetExceeded("alignment search space exhausted without reaching a final marking")
 
 

@@ -146,6 +146,58 @@ def brute_force_alignment_cost(
     return min(edit_distance_reference(trace, word) for word in candidates)
 
 
+def reachable_markings(net: WorkflowNet, cap: int = 2_000) -> list[dict[str, int]]:
+    """Every marking the token game reaches from the initial one."""
+    start = {net.input_place: 1}
+    seen = {_freeze(start)}
+    queue = [start]
+    found: list[dict[str, int]] = []
+    while queue:
+        marking = queue.pop()
+        found.append(marking)
+        for t in net.transitions:
+            if not _enabled(net, marking, t.tid):
+                continue
+            nxt = _fire(net, marking, t.tid)
+            key = _freeze(nxt)
+            if key in seen:
+                continue
+            if len(seen) > cap:
+                raise OracleBudget("reachable markings blew the cap")
+            seen.add(key)
+            queue.append(nxt)
+    return found
+
+
+def silent_closure_reference(
+    net: WorkflowNet, marking: dict[str, int]
+) -> tuple[frozenset[str], bool, dict[str, dict[str, int]]]:
+    """(enabled activities, finality, advance target per activity) of a marking.
+
+    A breadth-first search over silent firings, silent transitions tried in
+    definition order, lists the markings reachable without a visible step.
+    An activity is enabled when some listed marking enables a transition with
+    its label; its advance target fires the first such transition (definition
+    order) in the first such marking.  Finality is a sink token in any of them.
+    """
+    closure = [marking]
+    seen = {_freeze(marking)}
+    for current in closure:  # the list grows behind the loop: a FIFO queue
+        for t in net.transitions:
+            if t.label is None and _enabled(net, current, t.tid):
+                nxt = _fire(net, current, t.tid)
+                if _freeze(nxt) not in seen:
+                    seen.add(_freeze(nxt))
+                    closure.append(nxt)
+    targets: dict[str, dict[str, int]] = {}
+    for current in closure:
+        for t in net.transitions:
+            if t.label is not None and t.label not in targets and _enabled(net, current, t.tid):
+                targets[t.label] = _fire(net, current, t.tid)
+    final = any(m.get(net.output_place, 0) >= 1 for m in closure)
+    return frozenset(targets), final, targets
+
+
 # --- random structured nets and traces ---------------------------------------
 
 

@@ -337,6 +337,15 @@ def test_run_validates_its_config(demo_net, demo_rules):
         anneal(stream, demo_net, demo_rules, AnnealerConfig(population=0))
     with pytest.raises(InputError):
         anneal(stream, demo_net, demo_rules, AnnealerConfig(s_max=0))
+    for bad in [
+        {"workers": 0},
+        {"workers": -2},
+        {"marking_budget": 0},
+        {"marking_budget": -5},
+        {"state_budget": 0},
+    ]:
+        with pytest.raises(InputError):
+            anneal(stream, demo_net, demo_rules, AnnealerConfig(**bad))
 
 
 def test_run_propagates_the_state_budget(demo_net, demo_rules):

@@ -393,6 +393,15 @@ def test_cli_exit_codes(workspace, capsys):
         "--model", str(workspace / "demo.pnml"),
         "--out", str(workspace / "o.csv"),
     ]) == 1
+    # a budget below 1 is bad input, not an exhausted search
+    assert main([
+        "correlate",
+        "--log", str(workspace / "stream.csv"),
+        "--model", str(workspace / "demo.pnml"),
+        "--out", str(workspace / "o.csv"),
+        "--marking-budget", "0",
+    ]) == 1
+    assert "at least 1" in capsys.readouterr().err
     # an exhausted search budget exits 2
     code = main([
         "correlate",

@@ -1,5 +1,7 @@
 """Token game, silent closure, validation, and trace alignment."""
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -37,6 +39,8 @@ from oracles import (
     brute_force_alignment_cost,
     random_structured_net,
     random_trace,
+    reachable_markings,
+    silent_closure_reference,
 )
 
 
@@ -160,6 +164,29 @@ def test_closure_respects_the_marking_budget():
         enabled_activities(make_silent_chain(30), {"p0": 1}, budget=5)
 
 
+def test_marking_table_keeps_one_node_per_marking_across_threads():
+    width, threads = 400, 8
+    net = make_silent_chain(width)
+    barrier = threading.Barrier(threads)
+
+    def walk(_thread: int) -> frozenset[str]:
+        barrier.wait(timeout=60)  # every thread walks the chain at once
+        return enabled_activities(net, {"p0": 1})
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            found = list(pool.map(walk, range(threads), timeout=60))
+    finally:
+        sys.setswitchinterval(previous)
+    assert found == [frozenset({"Z"})] * threads
+    # every successor a thread stored must be the table's node for its marking
+    for i in range(width + 2):
+        for _t, target in net.node({f"p{i}": 1}).successors():
+            assert target is net.node(thaw(target.marking)), i
+
+
 def test_infer_start_activity(demo_net, loop_net):
     assert infer_start_activity(demo_net) == "A"
     assert infer_start_activity(loop_net) == "A"
@@ -281,6 +308,29 @@ def test_alignment_matches_the_brute_force_on_random_nets():
         except OracleBudget:
             continue
         assert align_trace(net, trace).cost == want, (trial, trace)
+        checked += 1
+    assert checked >= 30
+
+
+def test_token_game_matches_the_reference_closure_on_random_nets():
+    checked = 0
+    for trial in range(40):
+        rng = seeded_rng("wfnet-closure-fuzz", trial)
+        net = random_structured_net(rng)
+        try:
+            markings = reachable_markings(net)
+        except OracleBudget:
+            continue
+        for marking in markings:
+            activities, final, targets = silent_closure_reference(net, marking)
+            assert enabled_activities(net, marking) == activities, (trial, marking)
+            assert is_final(net, marking) == final, (trial, marking)
+            for activity in sorted(net.labels | {"z"}):
+                assert advance(net, marking, activity) == targets.get(activity), (
+                    trial,
+                    marking,
+                    activity,
+                )
         checked += 1
     assert checked >= 30
 
