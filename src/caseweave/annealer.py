@@ -55,6 +55,12 @@ class AnnealerConfig:
     # Recompute every energy without the shared alignment memo and compare.
     debug_recompute: bool = False
 
+    def validate(self) -> None:
+        """Raise InputError for a count or budget below 1, naming the field."""
+        for name in ("population", "s_max", "workers", "marking_budget", "state_budget"):
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class Individual:
@@ -385,9 +391,7 @@ def run(
     order, which keeps parallel output identical to serial output.
     """
     config = config or AnnealerConfig()
-    for name in ("population", "s_max", "workers", "marking_budget", "state_budget"):
-        if getattr(config, name) < 1:
-            raise InputError(f"{name} must be at least 1, got {getattr(config, name)}")
+    config.validate()
     start_activity = infer_start_activity(net, config.marking_budget)
     cache = AlignmentCache()
     master = random.Random(config.seed)

@@ -25,7 +25,7 @@ from .measures import evaluate
 from .model import EventLog, InputError, UncorrelatedLog, strip_case_ids
 from .rules import RuleSet
 from .simulate import SimulationConfig, simulate_log
-from .wfnet import BudgetExceeded, validate_net
+from .wfnet import DEFAULT_MARKING_BUDGET, BudgetExceeded, validate_net
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -66,9 +66,9 @@ def _require_correlated(log: EventLog | UncorrelatedLog, path: str) -> EventLog:
     return log
 
 
-def _load_net(path: str):
+def _load_net(path: str, marking_budget: int = DEFAULT_MARKING_BUDGET):
     net = read_pnml(path)
-    report = validate_net(net)
+    report = validate_net(net, budget=marking_budget)
     if not report.ok:
         raise InputError(f"{path}: " + "; ".join(report.problems))
     return net
@@ -82,8 +82,6 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         stream = strip_case_ids(log)
     else:
         stream = log
-    net = _load_net(args.model)
-    rules = read_rules_file(args.rules) if args.rules else RuleSet(rules=())
     config = AnnealerConfig(
         tau_init=args.tau_init,
         s_max=args.levels,
@@ -93,6 +91,9 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         marking_budget=args.marking_budget,
         state_budget=args.state_budget,
     )
+    config.validate()  # before the net check, which spends the marking budget
+    net = _load_net(args.model, config.marking_budget)
+    rules = read_rules_file(args.rules) if args.rules else RuleSet(rules=())
     result = run(stream, net, rules, config)
     write_log_csv(result.best.log, args.out, schema)
     if args.trace_out:
@@ -175,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--workers", type=int, default=defaults.workers)
     p.add_argument("--marking-budget", type=int, default=defaults.marking_budget,
-                   help="max markings per silent-closure search")
+                   help="max markings per silent-closure search and in the model's"
+                   " reachability check")
     p.add_argument("--state-budget", type=int, default=defaults.state_budget,
                    help="max states per alignment search")
     add_timestamp_format(p)

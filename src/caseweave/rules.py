@@ -17,6 +17,13 @@ Attribute names resolve against the event payload; ``Act`` is the activity and
 ``Ts`` the timestamp.  A comparison with a missing attribute is unsatisfied,
 never an error.  Both sides parsing as integers compare numerically, anything
 else compares as strings.
+
+Evaluation is one judgement per (rule, event, earlier events of its case): the
+rule does not apply (``e[i]`` conditions fail, or no earlier event meets the
+``e[j]`` ones), applies at a first event with no predecessor to read, or its
+consequence holds or fails against the anchor.  ``e_sat`` counts a hold and
+``e_vio`` a failure; a case triggers a rule where some position applies and
+violates it where one fails, and ``rule_cost`` reads both from one walk.
 """
 
 from __future__ import annotations
@@ -26,9 +33,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .model import Case, Event, EventLog, InputError, Scalar
-
-OPS = ("<=", ">=", "==", "!=", "<", ">")
-
 
 class RuleSyntaxError(InputError):
     """Rule text that does not parse; message carries line and column."""
@@ -446,14 +450,51 @@ def _eval_expr(expr: Expr, e_i: Event, e_j: Event, diag: RuleDiagnostics | None)
     return any(_eval_expr(item, e_i, e_j, diag) for item in expr.items)
 
 
-def _closest_j(
-    rule: IfThenRule, events: tuple[Event, ...], upto: int, diag: RuleDiagnostics | None
-) -> Event | None:
-    """Nearest earlier event whose j-conditions hold; positions upto-1 .. 1."""
-    for k in range(upto - 1, 0, -1):
-        if _conds_hold(rule.conditions, "j", events[k - 1], diag):
-            return events[k - 1]
-    return None
+# Verdict of a rule that applies at the first event of a case but reads its missing
+# predecessor: the rule triggers, and is neither kept nor broken.
+_UNANCHORED = object()
+
+
+def _judge(
+    rule: Rule, event: Event, events: tuple[Event, ...], k: int, diag: RuleDiagnostics | None
+) -> object:
+    """The rule's verdict on ``event`` read right after ``events[:k]`` in its case.
+
+    None when the rule does not apply; ``_UNANCHORED`` when it applies at k == 0
+    and needs the predecessor; otherwise whether the consequence holds.
+    """
+    if not isinstance(rule, EqRule) and not _conds_hold(rule.conditions, "i", event, diag):
+        return None
+    if isinstance(rule, IfThenRule) and rule.uses_j:
+        for m in range(k - 1, -1, -1):  # the closest earlier event meeting e[j]
+            if _conds_hold(rule.conditions, "j", events[m], diag):
+                anchor = events[m]
+                break
+        else:
+            return None
+    elif k:
+        anchor = events[k - 1]
+    else:
+        return _UNANCHORED
+    if isinstance(rule, EqRule):
+        lhs = _attr_value(event, rule.attribute, diag)
+        return _compare(lhs, "==", _attr_value(anchor, rule.attribute, diag))
+    if isinstance(rule, EventTimeRule):
+        return rule.dur_min <= event.timestamp - anchor.timestamp <= rule.dur_max
+    return _eval_expr(rule.consequence, event, anchor, diag)
+
+
+def _walk(
+    rule: Rule, events: tuple[Event, ...], diag: RuleDiagnostics | None
+) -> tuple[bool, bool]:
+    """(triggered, violated) from one pass over a case, stopping at the first violation."""
+    triggered = False
+    for k, event in enumerate(events):
+        verdict = _judge(rule, event, events, k, diag)
+        if verdict is False:
+            return True, True
+        triggered = triggered or verdict is not None
+    return triggered, False
 
 
 def e_sat(rule: Rule, event: Event, case: Case, diag: RuleDiagnostics | None = None) -> int:
@@ -462,27 +503,7 @@ def e_sat(rule: Rule, event: Event, case: Case, diag: RuleDiagnostics | None = N
     The event is read as the tentative last event of the case.  A rule whose
     conditions do not apply scores 0, not 1: vacuous truth earns nothing.
     """
-    events = case.events
-    if isinstance(rule, EqRule):
-        if not events:
-            return 0
-        lhs = _attr_value(event, rule.attribute, diag)
-        rhs = _attr_value(events[-1], rule.attribute, diag)
-        return int(_compare(lhs, "==", rhs))
-    if isinstance(rule, EventTimeRule):
-        if not _conds_hold(rule.conditions, "i", event, diag) or not events:
-            return 0
-        duration = event.timestamp - events[-1].timestamp
-        return int(rule.dur_min <= duration <= rule.dur_max)
-    if not _conds_hold(rule.conditions, "i", event, diag):
-        return 0
-    if rule.uses_j:
-        anchor = _closest_j(rule, events, len(events) + 1, diag)
-    else:
-        anchor = events[-1] if events else None
-    if anchor is None:
-        return 0
-    return int(_eval_expr(rule.consequence, event, anchor, diag))
+    return int(_judge(rule, event, case.events, len(case.events), diag) is True)
 
 
 def score(
@@ -494,19 +515,7 @@ def score(
 
 def trigger(rule: Rule, case: Case, diag: RuleDiagnostics | None = None) -> bool:
     """Whether the case activates the rule at all (plain attribute rules always do)."""
-    events = case.events
-    if isinstance(rule, EqRule):
-        return True
-    if isinstance(rule, EventTimeRule):
-        return any(_conds_hold(rule.conditions, "i", e, diag) for e in events)
-    if not rule.uses_j:
-        return any(_conds_hold(rule.conditions, "i", e, diag) for e in events)
-    for i in range(2, len(events) + 1):
-        if _conds_hold(rule.conditions, "i", events[i - 1], diag) and (
-            _closest_j(rule, events, i, diag) is not None
-        ):
-            return True
-    return False
+    return isinstance(rule, EqRule) or _walk(rule, case.events, diag)[0]
 
 
 def e_vio(
@@ -514,37 +523,18 @@ def e_vio(
 ) -> bool:
     """Whether the event at 1-based ``position`` violates the rule in its case.
 
-    A rule whose conditions do not reach the position cannot be violated there;
-    in particular nothing violates at position 1 except an applicable rule whose
-    consequence fails against a committed earlier anchor (impossible at 1).
+    Only an applicable rule whose consequence fails against its anchor violates,
+    so nothing violates at position 1.  Positions outside the case raise InputError.
     """
     events = case.events
-    event = events[position - 1]
-    if isinstance(rule, EqRule):
-        if position == 1:
-            return False
-        lhs = _attr_value(event, rule.attribute, diag)
-        rhs = _attr_value(events[position - 2], rule.attribute, diag)
-        return not _compare(lhs, "==", rhs)
-    if isinstance(rule, EventTimeRule):
-        if position == 1 or not _conds_hold(rule.conditions, "i", event, diag):
-            return False
-        duration = event.timestamp - events[position - 2].timestamp
-        return not rule.dur_min <= duration <= rule.dur_max
-    if not _conds_hold(rule.conditions, "i", event, diag):
-        return False
-    if rule.uses_j:
-        anchor = _closest_j(rule, events, position, diag)
-    else:
-        anchor = events[position - 2] if position >= 2 else None
-    if anchor is None:
-        return False
-    return not _eval_expr(rule.consequence, event, anchor, diag)
+    if not 1 <= position <= len(events):
+        raise InputError(f"position {position} outside case {case.case_id}")
+    return _judge(rule, events[position - 1], events, position - 1, diag) is False
 
 
 def vio(rule: Rule, case: Case, diag: RuleDiagnostics | None = None) -> bool:
     """Whether any position of the case violates the rule."""
-    return any(e_vio(rule, case, p, diag) for p in range(1, len(case.events) + 1))
+    return _walk(rule, case.events, diag)[1]
 
 
 def rule_cost(log: EventLog, rules: RuleSet, diag: RuleDiagnostics | None = None) -> float:
@@ -556,9 +546,11 @@ def rule_cost(log: EventLog, rules: RuleSet, diag: RuleDiagnostics | None = None
         return 0.0
     total = 0.0
     for case in log.cases:
-        triggered = [rule for rule in rules if trigger(rule, case, diag)]
-        if not triggered:
-            continue
-        violated = sum(vio(rule, case, diag) for rule in triggered)
-        total += violated / len(triggered)
+        triggered = violated = 0
+        for rule in rules:
+            fired, broken = _walk(rule, case.events, diag)
+            triggered += fired
+            violated += broken
+        if triggered:
+            total += violated / triggered
     return total / len(log.cases)

@@ -4,7 +4,9 @@ Everything here recomputes results from first principles: a distance DP that
 does not go through an LCS, exhaustive enumeration of run projections instead
 of a guided search, and permutation scans instead of the Hungarian method.
 Only net STRUCTURE (preset/postset maps) is shared with the package; no search
-or scoring code is reused.
+or scoring code is reused.  The rule references keep one definition per
+function (``e_sat``, ``e_vio``, ``trigger``, ``vio``, ``rule_cost``) and share
+only the rule dataclasses, the scalar comparison and the attribute lookup.
 """
 
 from __future__ import annotations
@@ -14,7 +16,17 @@ import itertools
 import random
 from typing import Sequence
 
-from caseweave import Transition, WorkflowNet
+from caseweave import Case, Event, EventLog, RuleSet, Transition, WorkflowNet
+from caseweave.rules import (
+    And,
+    Comparison,
+    EqRule,
+    EventTimeRule,
+    IfThenRule,
+    Or,
+    _attr_value,
+    _compare,
+)
 
 
 class OracleBudget(Exception):
@@ -353,3 +365,192 @@ def random_trace(net: WorkflowNet, rng: random.Random, max_len: int = 6) -> tupl
         return tuple(word)
     length = rng.randint(0, max_len)
     return tuple(rng.choice(_ACTIVITIES + ["S", "z"]) for _ in range(length))
+
+
+# --- rule evaluation, one definition per function ----------------------------
+
+
+def _conds_hold_reference(conditions, subject: str, event: Event) -> bool:
+    return all(
+        _compare(_attr_value(event, c.attr, None), c.op, c.value)
+        for c in conditions
+        if c.subject == subject
+    )
+
+
+def _eval_expr_reference(expr, e_i: Event, e_j: Event) -> bool:
+    if isinstance(expr, Comparison):
+        if expr.rhs_attr is not None:
+            return _compare(
+                _attr_value(e_i, expr.attr, None), expr.op, _attr_value(e_j, expr.rhs_attr, None)
+            )
+        return _compare(_attr_value(e_j, expr.attr, None), expr.op, expr.value)
+    if isinstance(expr, And):
+        return all(_eval_expr_reference(item, e_i, e_j) for item in expr.items)
+    return any(_eval_expr_reference(item, e_i, e_j) for item in expr.items)
+
+
+def _closest_j_reference(rule: IfThenRule, events: tuple[Event, ...], upto: int) -> Event | None:
+    """Nearest earlier event whose j-conditions hold; positions upto-1 .. 1."""
+    for k in range(upto - 1, 0, -1):
+        if _conds_hold_reference(rule.conditions, "j", events[k - 1]):
+            return events[k - 1]
+    return None
+
+
+def e_sat_reference(rule, event: Event, case: Case) -> int:
+    """1 when ``event`` appended to ``case`` satisfies the rule, else 0."""
+    events = case.events
+    if isinstance(rule, EqRule):
+        if not events:
+            return 0
+        lhs = _attr_value(event, rule.attribute, None)
+        rhs = _attr_value(events[-1], rule.attribute, None)
+        return int(_compare(lhs, "==", rhs))
+    if isinstance(rule, EventTimeRule):
+        if not _conds_hold_reference(rule.conditions, "i", event) or not events:
+            return 0
+        duration = event.timestamp - events[-1].timestamp
+        return int(rule.dur_min <= duration <= rule.dur_max)
+    if not _conds_hold_reference(rule.conditions, "i", event):
+        return 0
+    if rule.uses_j:
+        anchor = _closest_j_reference(rule, events, len(events) + 1)
+    else:
+        anchor = events[-1] if events else None
+    if anchor is None:
+        return 0
+    return int(_eval_expr_reference(rule.consequence, event, anchor))
+
+
+def trigger_reference(rule, case: Case) -> bool:
+    """Whether the case activates the rule (plain attribute rules always do)."""
+    events = case.events
+    if isinstance(rule, EqRule):
+        return True
+    if isinstance(rule, EventTimeRule) or not rule.uses_j:
+        return any(_conds_hold_reference(rule.conditions, "i", e) for e in events)
+    for i in range(2, len(events) + 1):
+        if _conds_hold_reference(rule.conditions, "i", events[i - 1]) and (
+            _closest_j_reference(rule, events, i) is not None
+        ):
+            return True
+    return False
+
+
+def e_vio_reference(rule, case: Case, position: int) -> bool:
+    """Whether the event at 1-based ``position`` (within the case) violates the rule."""
+    events = case.events
+    event = events[position - 1]
+    if isinstance(rule, EqRule):
+        if position == 1:
+            return False
+        lhs = _attr_value(event, rule.attribute, None)
+        rhs = _attr_value(events[position - 2], rule.attribute, None)
+        return not _compare(lhs, "==", rhs)
+    if isinstance(rule, EventTimeRule):
+        if position == 1 or not _conds_hold_reference(rule.conditions, "i", event):
+            return False
+        duration = event.timestamp - events[position - 2].timestamp
+        return not rule.dur_min <= duration <= rule.dur_max
+    if not _conds_hold_reference(rule.conditions, "i", event):
+        return False
+    if rule.uses_j:
+        anchor = _closest_j_reference(rule, events, position)
+    else:
+        anchor = events[position - 2] if position >= 2 else None
+    if anchor is None:
+        return False
+    return not _eval_expr_reference(rule.consequence, event, anchor)
+
+
+def vio_reference(rule, case: Case) -> bool:
+    return any(e_vio_reference(rule, case, p) for p in range(1, len(case.events) + 1))
+
+
+def rule_cost_reference(log: EventLog, rules: RuleSet) -> float:
+    """Mean over cases of violated triggered rules over triggered rules."""
+    if not rules.rules or not log.cases:
+        return 0.0
+    total = 0.0
+    for case in log.cases:
+        triggered = [rule for rule in rules if trigger_reference(rule, case)]
+        if not triggered:
+            continue
+        violated = sum(vio_reference(rule, case) for rule in triggered)
+        total += violated / len(triggered)
+    return total / len(log.cases)
+
+
+# --- random rules and events --------------------------------------------------
+
+
+_RULE_ATTRS = ["Act", "Ts", "K", "L"]
+_RULE_OPS = ["==", "!=", "<", "<=", ">", ">="]
+
+
+def _random_scalar(rng: random.Random):
+    """An int, an int-like string, or a plain string."""
+    roll = rng.random()
+    if roll < 0.35:
+        return rng.randint(-2, 3)
+    if roll < 0.7:
+        return rng.choice(["-1", "0", "2", "03", "10"])
+    return rng.choice(["a", "b", "x", "10a"])
+
+
+def _random_comparison(rng: random.Random, subject: str) -> Comparison:
+    attr = rng.choice(_RULE_ATTRS)
+    if attr == "Act":
+        value = rng.choice(["a", "b", "c"])
+    else:
+        value = _random_scalar(rng)
+    return Comparison(subject=subject, attr=attr, op=rng.choice(_RULE_OPS), value=value)
+
+
+def _random_consequence(rng: random.Random, depth: int = 0):
+    roll = rng.random()
+    if depth < 2 and roll < 0.3:
+        kind = And if rng.random() < 0.5 else Or
+        return kind(tuple(_random_consequence(rng, depth + 1) for _ in range(rng.randint(2, 3))))
+    if roll < 0.65:
+        return Comparison(
+            subject="i",
+            attr=rng.choice(_RULE_ATTRS),
+            op=rng.choice(_RULE_OPS),
+            rhs_attr=rng.choice(_RULE_ATTRS),
+        )
+    return _random_comparison(rng, "j")
+
+
+def random_rule(rng: random.Random, label: str = "C1"):
+    """An EqRule, an EventTimeRule, or an IfThenRule with or without e[j] conditions."""
+    roll = rng.random()
+    if roll < 0.25:
+        return EqRule(label, rng.choice(_RULE_ATTRS))
+    if roll < 0.45:
+        conditions = tuple(_random_comparison(rng, "i") for _ in range(rng.randint(1, 2)))
+        lo = rng.randint(0, 20)
+        return EventTimeRule(label, conditions, lo, lo + rng.randint(0, 30))
+    conditions = tuple(
+        _random_comparison(rng, rng.choice("iij")) for _ in range(rng.randint(1, 3))
+    )
+    return IfThenRule(
+        label,
+        conditions,
+        _random_consequence(rng),
+        uses_j=any(c.subject == "j" for c in conditions),
+    )
+
+
+def random_rule_events(rng: random.Random, count: int, start: int = 1) -> tuple[Event, ...]:
+    """Events with increasing timestamps and attributes that may be missing."""
+    events = []
+    timestamp = rng.randint(0, 10)
+    for index in range(start, start + count):
+        attributes = {
+            attr: _random_scalar(rng) for attr in ("K", "L") if rng.random() < 0.75
+        }
+        events.append(Event(index, rng.choice(["a", "b", "c"]), timestamp, attributes))
+        timestamp += rng.randint(0, 25)
+    return tuple(events)

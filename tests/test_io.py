@@ -10,6 +10,7 @@ from caseweave import (
     InputError,
     LogFileSchema,
     UncorrelatedLog,
+    build_uncorrelated_log,
     correlate,
     format_timestamp,
     parse_rules,
@@ -412,6 +413,39 @@ def test_cli_exit_codes(workspace, capsys):
     ])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_cli_marking_budget_reaches_the_net_check(tmp_path, capsys):
+    # A, then a silent AND-split into 14 one-activity branches: 2^14 markings
+    # between the split and the join, past the default budget of 10 000.
+    branches = [f"B{n}" for n in range(1, 15)]
+    places = ["source", "after_a", "sink"]
+    transitions = ['<transition id="a"><name><text>A</text></name></transition>',
+                   '<transition id="split"/>', '<transition id="join"/>']
+    arcs = [("source", "a"), ("a", "after_a"), ("after_a", "split"), ("join", "sink")]
+    for label in branches:
+        places += [f"{label}_in", f"{label}_out"]
+        transitions.append(
+            f'<transition id="{label}"><name><text>{label}</text></name></transition>'
+        )
+        arcs += [("split", f"{label}_in"), (f"{label}_in", label),
+                 (label, f"{label}_out"), (f"{label}_out", "join")]
+    pnml = tmp_path / "wide.pnml"
+    pnml.write_text(
+        '<pnml><net id="wide" type="ptnet">'
+        + "".join(f'<place id="{p}"/>' for p in places)
+        + "".join(transitions)
+        + "".join(f'<arc id="arc{n}" source="{s}" target="{t}"/>' for n, (s, t) in enumerate(arcs))
+        + "</net></pnml>"
+    )
+    stream = tmp_path / "stream.csv"
+    records = [("A", 0, None)] + [(label, n, None) for n, label in enumerate(branches, 1)]
+    write_log_csv(build_uncorrelated_log(records), str(stream))
+    argv = ["correlate", "--log", str(stream), "--model", str(pnml),
+            "--out", str(tmp_path / "o.csv"), "--population", "1", "--levels", "1"]
+    assert main(argv) == 1
+    assert "exceeded the marking budget" in capsys.readouterr().err
+    assert main(argv + ["--marking-budget", "20000"]) == 0
 
 
 def test_cli_rejects_malformed_nets(workspace, tmp_path, capsys):

@@ -5,8 +5,11 @@ import pytest
 from caseweave import (
     Case,
     Event,
+    InputError,
     RuleDiagnostics,
+    RuleSet,
     RuleSyntaxError,
+    UncorrelatedLog,
     correlate,
     e_sat,
     e_vio,
@@ -19,7 +22,16 @@ from caseweave import (
 )
 from caseweave.rules import And, Comparison, EqRule, EventTimeRule, IfThenRule, Or
 
-from conftest import DEMO_RULES_TEXT, DEMO_TRUTH, DEMO_X, make_demo_stream
+from conftest import DEMO_RULES_TEXT, DEMO_TRUTH, DEMO_X, make_demo_stream, seeded_rng
+from oracles import (
+    e_sat_reference,
+    e_vio_reference,
+    random_rule,
+    random_rule_events,
+    rule_cost_reference,
+    trigger_reference,
+    vio_reference,
+)
 
 
 def ev(index, activity, timestamp, **attrs):
@@ -182,6 +194,15 @@ def test_closest_anchor_commits_before_checking_the_consequence():
     assert e_vio(rule, Case("c", (far, near, probe)), 3) is True
 
 
+def test_e_vio_rejects_positions_outside_the_case():
+    rule = EqRule("C1", "Type")
+    case = Case("c7", (ev(1, "A", 0, Type="x"), ev(2, "B", 5, Type="x")))
+    for position in (0, -1, len(case.events) + 1):
+        with pytest.raises(InputError, match=f"position {position} outside case c7"):
+            e_vio(rule, case, position)
+    assert e_vio(rule, case, 2) is False
+
+
 def test_trigger_semantics(demo_rules):
     c1, c2, c3, c4, c5 = demo_rules
     stream = make_demo_stream()
@@ -257,3 +278,36 @@ def test_diagnostics_flow_through_case_level_checks():
     diag = RuleDiagnostics()
     assert vio(rules.rules[0], stream_case, diag)
     assert (2, "Color") in diag.missing_attributes
+
+
+def test_rule_evaluation_matches_the_reference_on_random_cases():
+    for trial in range(5000):
+        rng = seeded_rng("rules-fuzz", trial)
+        rule = random_rule(rng)
+        events = random_rule_events(rng, rng.randint(0, 7))
+        case = case_of(*events[:-1])  # the last event probes e_sat on the whole case
+        for k in range(len(events)):
+            prefix = case_of(*events[:k])
+            assert e_sat(rule, events[k], prefix) == e_sat_reference(rule, events[k], prefix), (
+                trial, k
+            )
+        for position in range(1, len(case.events) + 1):
+            assert e_vio(rule, case, position) == e_vio_reference(rule, case, position), (
+                trial, position
+            )
+        assert trigger(rule, case) == trigger_reference(rule, case), trial
+        assert vio(rule, case) == vio_reference(rule, case), trial
+
+
+def test_rule_cost_matches_the_reference_on_random_partitions():
+    for trial in range(1500):
+        rng = seeded_rng("rule-cost-fuzz", trial)
+        rules = RuleSet(tuple(random_rule(rng, f"C{n}") for n in range(1, rng.randint(0, 4) + 1)))
+        stream = UncorrelatedLog(random_rule_events(rng, rng.randint(1, 14)))
+        cases = rng.randint(1, 4)
+        log = correlate(stream, {e.index: f"c{rng.randrange(cases)}" for e in stream.events})
+        assert rule_cost(log, rules) == rule_cost_reference(log, rules), trial
+        for case in log.cases:
+            head, last = case_of(*case.events[:-1]), case.events[-1]
+            want = sum(e_sat_reference(rule, last, head) for rule in rules)
+            assert score(rules, last, head) == want, trial
