@@ -31,6 +31,7 @@ from .wfnet import (
     DEFAULT_MARKING_BUDGET,
     DEFAULT_STATE_BUDGET,
     AlignmentCache,
+    BudgetExceeded,
     Marking,
     MarkingNode,
     WorkflowNet,
@@ -164,6 +165,8 @@ class StreamDecoder:
     def _pick(self, candidates: Sequence[CaseRun], event: Event) -> CaseRun:
         if len(candidates) == 1:
             return candidates[0]
+        if not self.rules.rules:
+            return self.rng.choice(candidates)  # every score would tie at 0
         scores = [score(self.rules, event, run.as_case()) for run in candidates]
         top = max(scores)
         tied = [run for run, s in zip(candidates, scores) if s == top]
@@ -388,7 +391,9 @@ def run(
     Each slot owns a Random seeded from one master stream, so slot trajectories
     are independent of scheduling; with ``workers > 1`` the slots advance in a
     thread pool and the global best is reduced once per iteration in slot
-    order, which keeps parallel output identical to serial output.
+    order, which keeps parallel output identical to serial output.  A
+    neighbour that runs out of budget is rejected; building the initial
+    population raises BudgetExceeded instead.
     """
     config = config or AnnealerConfig()
     config.validate()
@@ -405,10 +410,14 @@ def run(
     def step(args: tuple[int, int, float]) -> tuple[Individual, bool]:
         slot, s_curr, tau = args
         current = population[slot]
-        proposal = neighbor(
-            stream, current, s_curr, net, rules, rngs[slot], config, start_activity
-        )
-        candidate = evaluate_individual(stream, proposal, net, rules, cache, config)
+        try:
+            proposal = neighbor(
+                stream, current, s_curr, net, rules, rngs[slot], config, start_activity
+            )
+            candidate = evaluate_individual(stream, proposal, net, rules, cache, config)
+        except BudgetExceeded:
+            # An over-budget candidate costs infinity: it loses without a coin.
+            return current, False
         chosen = select_next(current, candidate, tau, rngs[slot])
         return chosen, chosen is candidate
 

@@ -9,7 +9,9 @@ meaning perfect agreement.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -17,17 +19,38 @@ from scipy.optimize import linear_sum_assignment
 from .model import Case, EventLog, InputError, elapsed_time, cycle_time
 
 
+def _distance_table(
+    rows: Sequence[tuple[str, ...]], cols: Sequence[tuple[str, ...]]
+) -> np.ndarray:
+    """Insertions-plus-deletions distance between every row and column trace.
+
+    The distance is |a| + |b| - 2 * LCS(a, b), with the LCS length from the
+    bit-parallel recurrence V' = (V + U) | (V - U), U = V & M[x] (Allison &
+    Dix 1986; Hyyro 2004), where M[x] has bit k set if ``col[k] == x``: bit k
+    of V is 0 where the LCS of the row prefix with ``col[:k + 1]`` is one
+    longer than with ``col[:k]``, so LCS = |col| - popcount(V).  Each
+    column's symbol bitmasks are built once; Python ints hold any length.
+    """
+    table = np.empty((len(rows), len(cols)), dtype=np.int64)
+    for j, col in enumerate(cols):
+        full = (1 << len(col)) - 1
+        masks: dict[str, int] = {}
+        for bit, symbol in enumerate(col):
+            masks[symbol] = masks.get(symbol, 0) | (1 << bit)
+        column = []
+        for row in rows:
+            v = full
+            for symbol in row:
+                u = v & masks.get(symbol, 0)
+                v = ((v + u) | (v - u)) & full
+            column.append(len(row) - len(col) + 2 * v.bit_count())
+        table[:, j] = column
+    return table
+
+
 def edit_distance_ins_del(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     """Insertions-plus-deletions distance: |a| + |b| - 2 * LCS(a, b)."""
-    if not a or not b:
-        return len(a) + len(b)
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
-        prev = cur
-    return len(a) + len(b) - 2 * prev[-1]
+    return int(_distance_table([a], [b])[0, 0])
 
 
 def min_matching_cost(
@@ -36,33 +59,40 @@ def min_matching_cost(
     """Minimum total edit distance of a perfect matching between the two lists.
 
     Unequal lengths are padded with empty traces, which cost their partner's
-    length to match.
+    length to match.  Equal traces on both sides cancel first: the distance
+    is a metric, so swapping partners never makes a matching worse by pairing
+    two copies of one trace, and some optimal matching pairs every copy it
+    can.  Distances are computed once per pair of the remaining variants and
+    spread over their cases for the assignment.
     """
     size = max(len(traces_a), len(traces_b))
-    if size == 0:
+    counts_a = Counter(traces_a + [()] * (size - len(traces_a)))
+    counts_b = Counter(traces_b + [()] * (size - len(traces_b)))
+    common = counts_a & counts_b
+    rest_a, rest_b = counts_a - common, counts_b - common
+    if not rest_a:
         return 0
-    a = traces_a + [()] * (size - len(traces_a))
-    b = traces_b + [()] * (size - len(traces_b))
-    cost = np.zeros((size, size), dtype=np.int64)
-    for i, ta in enumerate(a):
-        for j, tb in enumerate(b):
-            cost[i, j] = edit_distance_ins_del(ta, tb)
-    rows, cols = linear_sum_assignment(cost)
-    return int(cost[rows, cols].sum())
+    variants_a, variants_b = list(rest_a), list(rest_b)
+    rows = [i for i, trace in enumerate(variants_a) for _ in range(rest_a[trace])]
+    cols = [j for j, trace in enumerate(variants_b) for _ in range(rest_b[trace])]
+    cost = _distance_table(variants_a, variants_b)[np.ix_(rows, cols)]
+    matched_rows, matched_cols = linear_sum_assignment(cost)
+    return int(cost[matched_rows, matched_cols].sum())
 
 
 def l2l_trace(original: EventLog, generated: EventLog) -> float:
-    """Distinct-trace similarity; each original trace picks its nearest partner."""
+    """Distinct-trace similarity; each original trace picks its nearest partner.
+
+    Among equally near partners the lexicographically smallest one wins.
+    """
     originals = sorted({c.trace for c in original.cases})
     partners = sorted({c.trace for c in generated.cases})
-    total_distance = 0
-    total_length = 0
-    for trace in originals:
-        distance, partner = min(
-            (edit_distance_ins_del(trace, other), other) for other in partners
-        )
-        total_distance += distance
-        total_length += len(trace) + len(partner)
+    if not originals:
+        return 1.0
+    table = _distance_table(originals, partners)
+    nearest = table.argmin(axis=1)  # first index among ties; partners are sorted
+    total_distance = int(table[np.arange(len(originals)), nearest].sum())
+    total_length = sum(map(len, originals)) + sum(len(partners[j]) for j in nearest)
     if total_length == 0:
         return 1.0
     return 1.0 - total_distance / total_length

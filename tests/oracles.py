@@ -2,7 +2,8 @@
 
 Everything here recomputes results from first principles: a distance DP that
 does not go through an LCS, exhaustive enumeration of run projections instead
-of a guided search, and permutation scans instead of the Hungarian method.
+of a guided search, and permutation scans or a walk over every transport
+plan instead of the Hungarian method.
 Only net STRUCTURE (preset/postset maps) is shared with the package; no search
 or scoring code is reused.  The rule references keep one definition per
 function (``e_sat``, ``e_vio``, ``trigger``, ``vio``, ``rule_cost``) and share
@@ -14,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from collections import Counter
 from typing import Sequence
 
 from caseweave import Case, Event, EventLog, RuleSet, Transition, WorkflowNet
@@ -63,6 +65,59 @@ def brute_force_matching_cost(
         if best is None or cost < best:
             best = cost
     return best or 0
+
+
+def _splits(total: int, caps: tuple[int, ...]):
+    """Every tuple of non-negative ints summing to ``total``, each within its cap."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    rest = sum(caps[1:])
+    for first in range(max(0, total - rest), min(caps[0], total) + 1):
+        for tail in _splits(total - first, caps[1:]):
+            yield (first,) + tail
+
+
+def brute_force_transport_cost(
+    xs: list[tuple[str, ...]], ys: list[tuple[str, ...]], cap: int = 30_000
+) -> int:
+    """Min-cost transport between the two padded variant multisets, over every plan.
+
+    Both lists are padded with empty traces to one length and grouped into
+    variant counts.  A plan sends ``plan[i][j]`` copies of row variant i to
+    column variant j, with the counts as its row and column sums, and costs
+    the sum of ``plan[i][j] * d(i, j)``.  Plans are walked row by row; plans
+    whose first rows leave the same column sums share the best completion.
+    Raises OracleBudget once ``cap`` row splits have been tried.
+    """
+    size = max(len(xs), len(ys))
+    rows = list(Counter(xs + [()] * (size - len(xs))).items())
+    cols = list(Counter(ys + [()] * (size - len(ys))).items())
+    if len(cols) > len(rows):  # the distance is symmetric; fewer column sums
+        rows, cols = cols, rows
+    dist = [[edit_distance_reference(r, c) for c, _ in cols] for r, _ in rows]
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    tried = 0
+
+    def best(i: int, remaining: tuple[int, ...]) -> int:
+        nonlocal tried
+        if i == len(rows):
+            return 0
+        key = (i, remaining)
+        if key not in memo:
+            costs = []
+            for split in _splits(rows[i][1], remaining):
+                tried += 1
+                if tried > cap:
+                    raise OracleBudget("transport walk blew the cap")
+                left = tuple(r - s for r, s in zip(remaining, split))
+                here = sum(s * d for s, d in zip(split, dist[i]))
+                costs.append(here + best(i + 1, left))
+            memo[key] = min(costs)
+        return memo[key]
+
+    return best(0, tuple(count for _, count in cols))
 
 
 # --- token game primitives, reimplemented locally ---------------------------

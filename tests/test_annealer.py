@@ -5,11 +5,14 @@ import random
 
 import pytest
 
+import caseweave.annealer as annealer_module
 from caseweave import (
     AnnealerConfig,
     BudgetExceeded,
     Individual,
     InputError,
+    RuleSet,
+    SimulationConfig,
     StreamDecoder,
     acceptance_prob,
     build_uncorrelated_log,
@@ -20,12 +23,15 @@ from caseweave import (
     evaluate_individual,
     initial_individual,
     neighbor,
+    parse_rules,
     select_next,
+    simulate_log,
+    strip_case_ids,
     time_variance,
 )
 from caseweave.annealer import replay_prefix, run as anneal
 
-from conftest import DEMO_X, make_demo_net, make_demo_stream, seeded_rng
+from conftest import DEMO_X, make_demo_net, make_demo_stream, make_loop_net, seeded_rng
 
 
 class StubRng(random.Random):
@@ -73,6 +79,25 @@ def test_decoder_consults_the_rng_only_on_ties(demo_net, demo_rules):
     rng = StubRng()
     StreamDecoder(demo_net, demo_rules, rng).run(stream.events)
     assert rng.choice_calls == 1  # only the last event ties
+
+
+def test_empty_rules_draw_the_tie_without_scoring(monkeypatch):
+    loop_net = make_loop_net()
+    sim = simulate_log(loop_net, SimulationConfig(cases=30, inter_arrival=0.125, seed=3))
+    stream = strip_case_ids(sim)
+    # a rule that never applies scores every candidate 0, so all of them tie
+    idle = parse_rules('IF e[i].Act == "nowhere" THEN 0 <= duration <= 1')
+    scored_rng = random.Random(9)
+    scored = StreamDecoder(loop_net, idle, scored_rng).run(stream.events)
+
+    def no_scoring(*_args):
+        raise AssertionError("score called with an empty rule set")
+
+    monkeypatch.setattr(annealer_module, "score", no_scoring)
+    bare_rng = random.Random(9)
+    bare = StreamDecoder(loop_net, RuleSet(rules=()), bare_rng).run(stream.events)
+    assert bare == scored
+    assert bare_rng.getstate() == scored_rng.getstate()
 
 
 def test_decoder_case_bookkeeping(demo_net, demo_rules):
@@ -352,6 +377,34 @@ def test_run_propagates_the_state_budget(demo_net, demo_rules):
     stream = make_demo_stream()
     with pytest.raises(BudgetExceeded):
         anneal(stream, demo_net, demo_rules, AnnealerConfig(state_budget=1))
+
+
+def test_an_over_budget_neighbour_loses_instead_of_aborting(demo_net, demo_rules, monkeypatch):
+    stream = make_demo_stream()
+    config = AnnealerConfig(population=3, s_max=3, seed=6)
+    plain = anneal(stream, demo_net, demo_rules, config)
+    real_neighbor = annealer_module.neighbor
+    calls = []
+
+    def neighbor_over_budget_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:  # level 2, slot 1
+            raise BudgetExceeded("alignment exceeded the state budget")
+        return real_neighbor(*args, **kwargs)
+
+    monkeypatch.setattr(annealer_module, "neighbor", neighbor_over_budget_once)
+    result = anneal(stream, demo_net, demo_rules, config)
+    assert len(result.records) == 3 * 3
+    by_slot = {(r.s_curr, r.slot): r for r in result.records}
+    failed, before = by_slot[(2, 1)], by_slot[(1, 1)]
+    assert not failed.accepted
+    assert (failed.fa, failed.fr, failed.ft) == (before.fa, before.fr, before.ft)
+    # the other slots own their generators, so they walk as in a plain run
+    for record, reference in zip(result.records, plain.records):
+        if record.slot != 1:
+            assert (record.fa, record.fr, record.ft, record.accepted) == (
+                reference.fa, reference.fr, reference.ft, reference.accepted
+            )
 
 
 def test_slot_rngs_are_independent_of_worker_count(demo_net, demo_rules):

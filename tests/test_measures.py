@@ -1,5 +1,8 @@
 """Log-to-log similarity and timing deviation measures."""
 
+import time
+import tracemalloc
+
 import pytest
 
 from caseweave import (
@@ -18,10 +21,15 @@ from caseweave import (
     smape_ct,
     smape_et,
 )
-from caseweave.measures import MeasureReport
+from caseweave.measures import MeasureReport, _distance_table
 
 from conftest import PAIRED_L, make_paired_logs, seeded_rng
-from oracles import brute_force_matching_cost, edit_distance_reference
+from oracles import (
+    OracleBudget,
+    brute_force_matching_cost,
+    brute_force_transport_cost,
+    edit_distance_reference,
+)
 
 
 def test_edit_distance_examples():
@@ -38,6 +46,157 @@ def test_edit_distance_matches_the_reference_dp():
         a = tuple(rng.choice("abc") for _ in range(rng.randint(0, 6)))
         b = tuple(rng.choice("abc") for _ in range(rng.randint(0, 6)))
         assert edit_distance_ins_del(a, b) == edit_distance_reference(a, b)
+
+
+def _random_trace(rng, alphabet: str, low: int, high: int) -> tuple[str, ...]:
+    return tuple(rng.choice(alphabet) for _ in range(rng.randint(low, high)))
+
+
+def test_distance_kernel_matches_the_reference_past_one_machine_word():
+    for trial in range(120):
+        rng = seeded_rng("kernel", trial)
+        alphabet = "abcdefgh"[: rng.randint(1, 8)]
+        a = _random_trace(rng, alphabet, 0, 100)
+        b = _random_trace(rng, alphabet, 0, 100)
+        if a and trial % 3 == 0:  # a symbol that only the row trace holds
+            k = rng.randrange(len(a) + 1)
+            a = a[:k] + ("z",) + a[k:]
+        expected = edit_distance_reference(a, b)
+        assert edit_distance_ins_del(a, b) == expected, trial
+        assert _distance_table([a], [b])[0, 0] == expected, trial
+    for trial in range(10):
+        rng = seeded_rng("kernel-table", trial)
+        alphabet = "abcdefgh"[: rng.randint(1, 8)]
+        rows = [_random_trace(rng, alphabet + "z", 0, 70) for _ in range(3)]
+        cols = [_random_trace(rng, alphabet, 0, 70) for _ in range(4)]
+        table = _distance_table(rows, cols)
+        assert table.shape == (3, 4)
+        for i, row in enumerate(rows):
+            for j, col in enumerate(cols):
+                assert table[i, j] == edit_distance_reference(row, col), (trial, i, j)
+
+
+def _random_log_pair(rng):
+    """Two random correlations of one random stream over a small alphabet."""
+    size = rng.randint(1, 24)
+    stream = build_uncorrelated_log(
+        [(rng.choice("ab"), minute, None) for minute in range(size)]
+    )
+    logs = []
+    for _ in range(2):
+        width = rng.randint(1, 6)
+        logs.append(
+            correlate(stream, {e.index: f"c{rng.randrange(width)}" for e in stream.events})
+        )
+    return logs
+
+
+def test_l2l_trace_matches_the_per_pair_minimum_with_ties():
+    ties_between_lengths = 0
+    for trial in range(150):
+        original, generated = _random_log_pair(seeded_rng("l2l-trace", trial))
+        originals = sorted({c.trace for c in original.cases})
+        partners = sorted({c.trace for c in generated.cases})
+        total_distance = total_length = 0
+        for trace in originals:
+            distances = [edit_distance_reference(trace, other) for other in partners]
+            distance, partner = min(zip(distances, partners))
+            nearest = [p for d, p in zip(distances, partners) if d == distance]
+            ties_between_lengths += len({len(p) for p in nearest}) > 1
+            total_distance += distance
+            total_length += len(trace) + len(partner)
+        assert l2l_trace(original, generated) == 1.0 - total_distance / total_length, trial
+    assert ties_between_lengths > 0  # the tie-break decides the denominator
+
+
+def _repeated_traces(rng, pool):
+    """1-4 variants from ``pool``, each repeated 2-30 times, in random order."""
+    traces = [v for v in rng.sample(pool, rng.randint(1, 4)) for _ in range(rng.randint(2, 30))]
+    rng.shuffle(traces)
+    return traces
+
+
+def test_matching_cost_matches_the_transport_oracle_on_repeated_traces():
+    checked = largest = 0
+    for trial in range(100):
+        rng = seeded_rng("transport", trial)
+        pool = [_random_trace(rng, "abc", 1, 5) for _ in range(6)]
+        xs, ys = _repeated_traces(rng, pool), _repeated_traces(rng, pool)
+        try:
+            expected = brute_force_transport_cost(xs, ys)
+        except OracleBudget:
+            continue
+        assert min_matching_cost(xs, ys) == expected, trial
+        checked += 1
+        largest = max(largest, len(xs), len(ys))
+    assert checked >= 75
+    assert largest >= 80
+
+
+def test_freq_matches_the_transport_oracle_on_regrouped_cases():
+    """The generated log splits or merges the original cases per variant."""
+    checked = 0
+    for trial in range(60):
+        rng = seeded_rng("transport-freq", trial)
+        pool = [_random_trace(rng, "abc", 1, 5) for _ in range(6)]
+        cases = _repeated_traces(rng, pool)
+        events, truth = [], {}
+        for number, trace in enumerate(cases):
+            for activity in trace:
+                events.append((activity, len(events), None))
+                truth[len(events)] = f"c{number}"
+        stream = build_uncorrelated_log(events)
+        # per variant: keep its cases whole, split them at k, or merge each
+        # with the next case in the stream (which then closes the group)
+        action = {v: rng.choice(["keep", "split", "merge"]) for v in pool}
+        cut = {v: rng.randint(1, len(v)) for v in pool}
+        assignment, index, group, merging = {}, 1, 0, False
+        for trace in cases:
+            for position in range(len(trace)):
+                if action[trace] == "split" and position == cut[trace]:
+                    group += 1
+                assignment[index] = f"g{group}"
+                index += 1
+            merging = action[trace] == "merge" and not merging
+            if not merging:
+                group += 1
+        original, generated = correlate(stream, truth), correlate(stream, assignment)
+        try:
+            cost = brute_force_transport_cost(
+                [c.trace for c in original.cases], [c.trace for c in generated.cases]
+            )
+        except OracleBudget:
+            continue
+        expected = max(0.0, 1.0 - cost / len(stream.events))
+        assert l2l_freq(original, generated) == expected, trial
+        checked += 1
+    assert checked >= 35
+
+
+def test_matching_scales_to_ten_thousand_cases_over_few_variants():
+    rng = seeded_rng("scale")
+    variants = sorted({_random_trace(rng, "abcdef", 3, 12) for _ in range(25)})
+    original = [rng.choice(variants) for _ in range(10_000)]
+    x, y = variants[0], variants[1]
+    k = 250
+    moved = [i for i, trace in enumerate(original) if trace == x][:k]
+    assert len(moved) == k
+    generated = list(original)
+    for i in moved:
+        generated[i] = y
+    rng.shuffle(generated)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        cost = min_matching_cost(original, generated)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the k moved cases must go from x to y; every other case matches itself
+    assert cost == k * edit_distance_reference(x, y) > 0
+    assert elapsed < 2.0
+    assert peak < 50 * 2**20
 
 
 def test_matching_pads_shorter_sides_with_empty_traces():
