@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -50,7 +49,6 @@ class AnnealerConfig:
     s_max: int = 10
     population: int = 5
     seed: int = 0
-    workers: int = 1
     marking_budget: int = DEFAULT_MARKING_BUDGET
     state_budget: int = DEFAULT_STATE_BUDGET
     # Recompute every energy without the shared alignment memo and compare.
@@ -58,7 +56,7 @@ class AnnealerConfig:
 
     def validate(self) -> None:
         """Raise InputError for a count or budget below 1, naming the field."""
-        for name in ("population", "s_max", "workers", "marking_budget", "state_budget"):
+        for name in ("population", "s_max", "marking_budget", "state_budget"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -388,12 +386,11 @@ def run(
 ) -> AnnealerResult:
     """Population annealing over suffix re-decodes; deterministic per seed.
 
-    Each slot owns a Random seeded from one master stream, so slot trajectories
-    are independent of scheduling; with ``workers > 1`` the slots advance in a
-    thread pool and the global best is reduced once per iteration in slot
-    order, which keeps parallel output identical to serial output.  A
-    neighbour that runs out of budget is rejected; building the initial
-    population raises BudgetExceeded instead.
+    Each slot owns a Random seeded from one master stream, so a slot's
+    trajectory does not depend on the population size.  Every level steps the
+    slots in slot order, then reduces the global best once over the population
+    in slot order.  A neighbour that runs out of budget is rejected; building
+    the initial population raises BudgetExceeded instead.
     """
     config = config or AnnealerConfig()
     config.validate()
@@ -402,54 +399,42 @@ def run(
     master = random.Random(config.seed)
     rngs = [random.Random(master.getrandbits(64)) for _ in range(config.population)]
 
-    def build(slot: int) -> Individual:
-        return initial_individual(
-            stream, net, rules, rngs[slot], config, cache, start_activity
-        )
-
-    def step(args: tuple[int, int, float]) -> tuple[Individual, bool]:
-        slot, s_curr, tau = args
-        current = population[slot]
+    def step(
+        current: Individual, rng: random.Random, s_curr: int, tau: float
+    ) -> tuple[Individual, bool]:
         try:
-            proposal = neighbor(
-                stream, current, s_curr, net, rules, rngs[slot], config, start_activity
-            )
+            proposal = neighbor(stream, current, s_curr, net, rules, rng, config, start_activity)
             candidate = evaluate_individual(stream, proposal, net, rules, cache, config)
         except BudgetExceeded:
             # An over-budget candidate costs infinity: it loses without a coin.
             return current, False
-        chosen = select_next(current, candidate, tau, rngs[slot])
+        chosen = select_next(current, candidate, tau, rng)
         return chosen, chosen is candidate
 
-    slots = range(config.population)
-    pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-    try:
-        mapper = pool.map if pool is not None else map
-        population = list(mapper(build, slots))
-        best = _lex_best(None, population)
-        records: list[IterationRecord] = []
-        for s_curr in range(1, config.s_max + 1):
-            tau = cooling(config.tau_init, s_curr)
-            outcomes = list(mapper(step, [(slot, s_curr, tau) for slot in slots]))
-            for slot, (chosen, _accepted) in zip(slots, outcomes):
-                population[slot] = chosen
-            best = _lex_best(best, population)
-            for slot, (chosen, accepted) in zip(slots, outcomes):
-                records.append(
-                    IterationRecord(
-                        s_curr=s_curr,
-                        tau_curr=tau,
-                        slot=slot,
-                        fa=chosen.fa,
-                        fr=chosen.fr,
-                        ft=chosen.ft,
-                        accepted=accepted,
-                        global_best_fa=best.fa,
-                        global_best_fr=best.fr,
-                        global_best_ft=best.ft,
-                    )
+    population = [
+        initial_individual(stream, net, rules, rng, config, cache, start_activity)
+        for rng in rngs
+    ]
+    best = _lex_best(None, population)
+    records: list[IterationRecord] = []
+    for s_curr in range(1, config.s_max + 1):
+        tau = cooling(config.tau_init, s_curr)
+        outcomes = [step(current, rng, s_curr, tau) for current, rng in zip(population, rngs)]
+        population = [chosen for chosen, _accepted in outcomes]
+        best = _lex_best(best, population)
+        for slot, (chosen, accepted) in enumerate(outcomes):
+            records.append(
+                IterationRecord(
+                    s_curr=s_curr,
+                    tau_curr=tau,
+                    slot=slot,
+                    fa=chosen.fa,
+                    fr=chosen.fr,
+                    ft=chosen.ft,
+                    accepted=accepted,
+                    global_best_fa=best.fa,
+                    global_best_fr=best.fr,
+                    global_best_ft=best.ft,
                 )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            )
     return AnnealerResult(best=best, records=tuple(records))

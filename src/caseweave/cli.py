@@ -87,7 +87,6 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         s_max=args.levels,
         population=args.population,
         seed=args.seed,
-        workers=args.workers,
         marking_budget=args.marking_budget,
         state_budget=args.state_budget,
     )
@@ -174,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=defaults.s_max, help="annealing levels")
     p.add_argument("--population", type=int, default=defaults.population)
     p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--workers", type=int, default=defaults.workers)
+    p.add_argument("--workers", type=int, choices=(1,), default=1,
+                   help="kept for existing command lines; correlation runs on one thread")
     p.add_argument("--marking-budget", type=int, default=defaults.marking_budget,
                    help="max markings per silent-closure search and in the model's"
                    " reachability check")

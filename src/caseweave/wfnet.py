@@ -21,7 +21,6 @@ heuristic counting trace symbols that label no transition at all.
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -436,11 +435,18 @@ def align_trace(
 
 
 class AlignmentCache:
-    """Trace -> Alignment memo for one net: lock-free reads, locked inserts."""
+    """Trace -> Alignment memo for one net, which also remembers budget failures.
+
+    A trace whose search ran out of budget is not searched again under a budget
+    no larger than that one: the call raises a fresh BudgetExceeded carrying
+    the failure's message.  Each insert is a single dict store, so threads
+    sharing a cache at worst search one trace twice.
+    """
 
     def __init__(self) -> None:
         self._data: dict[tuple[str, ...], Alignment] = {}
-        self._lock = threading.Lock()
+        # trace -> (largest budget it failed under, that failure's message)
+        self._failed: dict[tuple[str, ...], tuple[int, str]] = {}
 
     def __len__(self) -> int:
         return len(self._data)
@@ -455,10 +461,17 @@ class AlignmentCache:
         hit = self._data.get(key)
         if hit is not None:
             return hit
-        result = align_trace(net, key, state_budget)
-        with self._lock:
-            self._data.setdefault(key, result)
-        return self._data[key]
+        failed = self._failed.get(key)
+        if failed is not None and state_budget <= failed[0]:
+            # the search order does not depend on the budget, so it would fail again
+            raise BudgetExceeded(failed[1])
+        try:
+            result = align_trace(net, key, state_budget)
+        except BudgetExceeded as exc:
+            # a budget above any recorded failure, so this keeps the largest
+            self._failed[key] = (state_budget, str(exc))
+            raise
+        return self._data.setdefault(key, result)
 
 
 def log_alignment_cost(

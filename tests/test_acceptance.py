@@ -187,14 +187,8 @@ def test_c6_partition_invariants_monotonicity_and_determinism():
         config = AnnealerConfig(population=2, s_max=3, seed=seed)
         first = anneal(stream, loop_net, rules, config)
         second = anneal(stream, loop_net, rules, config)
-        parallel = anneal(
-            stream,
-            loop_net,
-            rules,
-            AnnealerConfig(population=2, s_max=3, seed=seed, workers=4),
-        )
-        assert first.records == second.records == parallel.records
-        assert first.best.log.assignment == parallel.best.log.assignment
+        assert first.records == second.records
+        assert first.best.log.assignment == second.best.log.assignment
 
 
 def _case_attrs(case_id):

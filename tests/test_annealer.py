@@ -2,11 +2,14 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 import caseweave.annealer as annealer_module
+import caseweave.wfnet as wfnet_module
 from caseweave import (
+    AlignmentCache,
     AnnealerConfig,
     BudgetExceeded,
     Individual,
@@ -305,16 +308,13 @@ def test_select_next_rng_discipline(demo_x):
 # --- the full loop -----------------------------------------------------------
 
 
-def test_run_is_deterministic_and_parallel_matches_serial(demo_net, demo_rules):
+def test_run_is_deterministic(demo_net, demo_rules):
     stream = make_demo_stream()
-    config = AnnealerConfig(population=4, s_max=4, seed=11, workers=1)
+    config = AnnealerConfig(population=4, s_max=4, seed=11)
     first = anneal(stream, demo_net, demo_rules, config)
     second = anneal(stream, demo_net, demo_rules, config)
-    parallel = anneal(
-        stream, demo_net, demo_rules, AnnealerConfig(population=4, s_max=4, seed=11, workers=4)
-    )
-    assert first.records == second.records == parallel.records
-    assert first.best.log.assignment == parallel.best.log.assignment
+    assert first.records == second.records
+    assert first.best.log.assignment == second.best.log.assignment
 
 
 def test_run_reaches_the_best_decodable_partition(demo_net, demo_rules):
@@ -363,8 +363,6 @@ def test_run_validates_its_config(demo_net, demo_rules):
     with pytest.raises(InputError):
         anneal(stream, demo_net, demo_rules, AnnealerConfig(s_max=0))
     for bad in [
-        {"workers": 0},
-        {"workers": -2},
         {"marking_budget": 0},
         {"marking_budget": -5},
         {"state_budget": 0},
@@ -407,7 +405,42 @@ def test_an_over_budget_neighbour_loses_instead_of_aborting(demo_net, demo_rules
             )
 
 
-def test_slot_rngs_are_independent_of_worker_count(demo_net, demo_rules):
+class _ForgetfulCache(AlignmentCache):
+    """A reference cache without the failure memo: a failed trace is searched every time."""
+
+    def get_or_compute(self, net, trace, state_budget):
+        self._failed.clear()
+        return super().get_or_compute(net, trace, state_budget)
+
+
+def test_an_over_budget_trace_fails_once_per_run(monkeypatch):
+    loop_net = make_loop_net()
+    sim = simulate_log(loop_net, SimulationConfig(cases=60, inter_arrival=0.125, seed=5))
+    stream = strip_case_ids(sim)
+    config = AnnealerConfig(seed=2, state_budget=42)
+    failures: Counter = Counter()
+    real_align = wfnet_module.align_trace
+
+    def counting_align(net, trace, state_budget):
+        try:
+            return real_align(net, trace, state_budget)
+        except BudgetExceeded:
+            failures[tuple(trace)] += 1
+            raise
+
+    monkeypatch.setattr(wfnet_module, "align_trace", counting_align)
+    with monkeypatch.context() as patch:
+        patch.setattr(annealer_module, "AlignmentCache", _ForgetfulCache)
+        reference = anneal(stream, loop_net, RuleSet(rules=()), config)
+    assert max(failures.values()) > 1  # without the memo a failing trace is searched again
+    failures.clear()
+    result = anneal(stream, loop_net, RuleSet(rules=()), config)
+    assert failures and max(failures.values()) == 1
+    assert result.records == reference.records
+    assert result.best.log.assignment == reference.best.log.assignment
+
+
+def test_slot_rngs_are_independent_of_population_size(demo_net, demo_rules):
     # same seed, different population: the first slots still agree because the
     # master stream hands each slot its own generator up front
     stream = make_demo_stream()

@@ -415,6 +415,15 @@ def test_cli_exit_codes(workspace, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_cli_workers_accepts_only_one(workspace, capsys):
+    argv = ["correlate", "--log", str(workspace / "stream.csv"),
+            "--model", str(workspace / "demo.pnml"), "--out", str(workspace / "o.csv"),
+            "--population", "1", "--levels", "1"]
+    assert main(argv + ["--workers", "2"]) == 1
+    assert "--workers" in capsys.readouterr().err
+    assert main(argv + ["--workers", "1"]) == 0
+
+
 def test_cli_marking_budget_reaches_the_net_check(tmp_path, capsys):
     # A, then a silent AND-split into 14 one-activity branches: 2^14 markings
     # between the split and the join, past the default budget of 10 000.

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import caseweave.wfnet as wfnet_module
 from caseweave import (
     Alignment,
     AlignmentCache,
@@ -348,6 +349,51 @@ def test_alignment_cache_computes_each_trace_once(demo_net):
     assert len(cache) == 1
     cache.get_or_compute(demo_net, ("A", "D"))
     assert len(cache) == 2
+
+
+def _count_searches(monkeypatch) -> list[int]:
+    """Record the budget of every A* search the cache starts."""
+    budgets: list[int] = []
+    real = wfnet_module.align_trace
+
+    def counting(net, trace, state_budget):
+        budgets.append(state_budget)
+        return real(net, trace, state_budget)
+
+    monkeypatch.setattr(wfnet_module, "align_trace", counting)
+    return budgets
+
+
+def test_alignment_cache_searches_a_failed_trace_once(demo_net, monkeypatch):
+    # ("A", "B", "C") settles 5 states before its alignment is found
+    searches = _count_searches(monkeypatch)
+    cache = AlignmentCache()
+    with pytest.raises(BudgetExceeded) as first:
+        cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=3)
+    with pytest.raises(BudgetExceeded) as again:
+        cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=3)
+    with pytest.raises(BudgetExceeded) as smaller:
+        cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=2)
+    assert searches == [3]
+    # fresh exceptions, so no traceback grows across raises
+    assert again.value is not first.value and smaller.value is not first.value
+    assert str(again.value) == str(smaller.value) == str(first.value)
+    assert len(cache) == 0  # failures are not alignments
+
+
+def test_alignment_cache_searches_again_under_a_larger_budget(demo_net, monkeypatch):
+    searches = _count_searches(monkeypatch)
+    cache = AlignmentCache()
+    with pytest.raises(BudgetExceeded):
+        cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=2)
+    with pytest.raises(BudgetExceeded):
+        cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=4)
+    with pytest.raises(BudgetExceeded):
+        cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=3)
+    assert cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=5).cost == 0
+    assert cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=1).cost == 0
+    assert searches == [2, 4, 5]
+    assert len(cache) == 1
 
 
 def test_alignment_cache_is_thread_consistent(loop_net):
