@@ -28,6 +28,7 @@ violates it where one fails, and ``rule_cost`` reads both from one walk.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -386,13 +387,17 @@ _INT_RE = re.compile(r"-?\d+$")
 
 
 def _as_int(value: Scalar) -> int | None:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):
+    if isinstance(value, str):
+        return _str_as_int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and _INT_RE.fullmatch(value):
-        return int(value)
     return None
+
+
+@functools.lru_cache(maxsize=4096)
+def _str_as_int(value: str) -> int | None:
+    """Memoised: a stream repeats few attribute values across many comparisons."""
+    return int(value) if _INT_RE.fullmatch(value) else None
 
 
 def _compare(lhs: Scalar | None, op: str, rhs: Scalar | None) -> bool:

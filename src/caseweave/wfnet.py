@@ -13,9 +13,15 @@ this one successor relation.  Functions taking a ``Marking`` dict are
 adapters onto the table.
 
 Alignment follows the usual move costs: synchronous moves and silent model
-moves are free, visible model moves and log moves cost 1.  The search is
-uniform-cost A* over (marking node, trace position) pairs with an admissible
-heuristic counting trace symbols that label no transition at all.
+moves are free, visible model moves and log moves cost 1.  It searches
+(marking node, trace position) states in two phases.  A trace whose symbols
+all label transitions is first replayed breadth-first over the free moves,
+and a final state found there is the answer at cost 0.  Otherwise uniform-cost
+A* runs with an admissible heuristic counting trace symbols that label no
+transition at all.  That heuristic is 0 on a replayed trace, so A* would settle
+the replay's states first and in the same order: the answer, its moves and the
+point where ``state_budget`` runs out are A*'s.  The budget counts states as
+they leave the replay's queue, and afresh as A* settles them.
 """
 
 from __future__ import annotations
@@ -367,6 +373,11 @@ def _final_reachable(net: WorkflowNet, budget: int) -> bool:
     return any(node.holds(out_place) for node in start.reachable(budget, silent_only=False))
 
 
+# A search state, and its link to (previous state, move kind, transition).
+_State = tuple[MarkingNode, int]
+_Parents = dict[_State, tuple[_State, str, Transition | None] | None]
+
+
 def align_trace(
     net: WorkflowNet,
     trace: Sequence[str],
@@ -374,11 +385,46 @@ def align_trace(
 ) -> Alignment:
     """Minimum-cost alignment of ``trace`` against the net's runs.
 
-    Cost 0 if and only if the trace is the visible projection of a run.  Raises
-    BudgetExceeded after settling ``state_budget`` search states; callers treat
-    that as an infinite cost.
+    Cost 0 if and only if the trace is the visible projection of a run.  When
+    every symbol labels a transition, a FIFO replay over the free moves (silent
+    and sync) runs first; as A*'s heuristic is then 0, A* would settle these
+    states first, in this order, so a final one is A*'s answer.  Otherwise
+    :func:`_astar_align` searches afresh.  Either phase raises BudgetExceeded
+    once it has taken ``state_budget`` states off its queue or heap and needs
+    another; callers treat that as an infinite cost.
     """
     trace = tuple(trace)
+    n = len(trace)
+    out_place = net.output_place
+    if net.labels.issuperset(trace):
+        start = (net.node(net.initial_marking()), 0)
+        parent: _Parents = {start: None}
+        queue = [start]
+        for settled, state in enumerate(queue, 1):  # the list grows behind the loop
+            if settled > state_budget:
+                raise BudgetExceeded(f"alignment exceeded {state_budget} states")
+            node, pos = state
+            if pos == n and node.holds(out_place):
+                return Alignment(cost=0, moves=_walk_back(parent, state, trace))
+            for t, nxt in node.successors():
+                if t.label is None:
+                    nstate, kind = (nxt, pos), "model"
+                elif pos < n and t.label == trace[pos]:
+                    nstate, kind = (nxt, pos + 1), "sync"
+                else:
+                    continue
+                if nstate not in parent:
+                    parent[nstate] = (state, kind, t)
+                    queue.append(nstate)
+    return _astar_align(net, trace, state_budget)
+
+
+def _astar_align(net: WorkflowNet, trace: tuple[str, ...], state_budget: int) -> Alignment:
+    """A* over (marking node, trace position) states, popped by ``(f, g, counter)``.
+
+    The heuristic is consistent, so a state's cost is final once settled and a
+    heap entry above the state's best cost is stale.
+    """
     n = len(trace)
     # h[i]: symbols at or after position i that no transition can ever match.
     h = [0] * (n + 1)
@@ -387,51 +433,50 @@ def align_trace(
 
     out_place = net.output_place
     start = (net.node(net.initial_marking()), 0)
-    counter = 0
-    heap: list[tuple[int, int, int, tuple[MarkingNode, int]]] = [(h[0], 0, counter, start)]
-    best_g: dict[tuple[MarkingNode, int], int] = {start: 0}
-    parent: dict[tuple[MarkingNode, int], tuple[tuple[MarkingNode, int], Move]] = {}
-    settled: set[tuple[MarkingNode, int]] = set()
+    counter = settled = 0
+    heap: list[tuple[int, int, int, _State]] = [(h[0], 0, counter, start)]
+    best_g: dict[_State, int] = {start: 0}
+    parent: _Parents = {start: None}
 
     while heap:
         _f, g, _c, state = heapq.heappop(heap)
-        if state in settled:
+        if g > best_g[state]:
             continue
-        settled.add(state)
-        if len(settled) > state_budget:
+        settled += 1
+        if settled > state_budget:
             raise BudgetExceeded(f"alignment exceeded {state_budget} states")
         node, pos = state
         if pos == n and node.holds(out_place):
-            moves: list[Move] = []
-            cur = state
-            while cur in parent:
-                cur, move = parent[cur]
-                moves.append(move)
-            moves.reverse()
-            return Alignment(cost=g, moves=tuple(moves))
-
-        def push(nstate: tuple[MarkingNode, int], ng: int, move: Move) -> None:
-            nonlocal counter
-            if nstate in settled:
-                return
-            old = best_g.get(nstate)
-            if old is not None and old <= ng:
-                return
-            best_g[nstate] = ng
-            parent[nstate] = (state, move)
-            counter += 1
-            heapq.heappush(heap, (ng + h[nstate[1]], ng, counter, nstate))
-
+            return Alignment(cost=g, moves=_walk_back(parent, state, trace))
+        edges: list[tuple[MarkingNode, int, int, str, Transition | None]] = []
         for t, nxt in node.successors():
-            if t.silent:
-                push((nxt, pos), g, Move("model", None, t.tid))
+            if t.label is None:
+                edges.append((nxt, pos, g, "model", t))
             else:
                 if pos < n and t.label == trace[pos]:
-                    push((nxt, pos + 1), g, Move("sync", t.label, t.tid))
-                push((nxt, pos), g + 1, Move("model", t.label, t.tid))
+                    edges.append((nxt, pos + 1, g, "sync", t))
+                edges.append((nxt, pos, g + 1, "model", t))
         if pos < n:
-            push((node, pos + 1), g + 1, Move("log", trace[pos], None))
+            edges.append((node, pos + 1, g + 1, "log", None))
+        for nxt, npos, ng, kind, t in edges:
+            nstate = (nxt, npos)
+            old = best_g.get(nstate)
+            if old is None or ng < old:
+                best_g[nstate] = ng
+                parent[nstate] = (state, kind, t)
+                counter += 1
+                heapq.heappush(heap, (ng + h[npos], ng, counter, nstate))
     raise BudgetExceeded("alignment search space exhausted without reaching a final marking")
+
+
+def _walk_back(parent: _Parents, state: _State, trace: tuple[str, ...]) -> tuple[Move, ...]:
+    """The moves from the start state to ``state``; a log move has no transition."""
+    moves: list[Move] = []
+    while (link := parent[state]) is not None:
+        state, kind, t = link
+        activity, tid = (trace[state[1]], None) if t is None else (t.label, t.tid)
+        moves.append(Move(kind, activity, tid))
+    return tuple(reversed(moves))
 
 
 class AlignmentCache:

@@ -1,5 +1,7 @@
 """Rule DSL: parsing, canonical printing, and case-level evaluation."""
 
+import re
+
 import pytest
 
 from caseweave import (
@@ -20,7 +22,7 @@ from caseweave import (
     trigger,
     vio,
 )
-from caseweave.rules import And, Comparison, EqRule, EventTimeRule, IfThenRule, Or
+from caseweave.rules import And, Comparison, EqRule, EventTimeRule, IfThenRule, Or, _as_int
 
 from conftest import DEMO_RULES_TEXT, DEMO_TRUTH, DEMO_X, make_demo_stream, seeded_rng
 from oracles import (
@@ -157,6 +159,24 @@ def test_comparisons_are_numeric_when_both_sides_parse_as_ints():
     assert e_sat(rule, cur_text, case_of(prev_text)) == 0  # "10a" < "9a"
     padded = ev(1, "A", 0, Size="0100")
     assert e_sat(rule, ev(2, "B", 1, Size=101), case_of(padded)) == 1
+
+
+def _as_int_unmemoised(value):
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?\d+$", value):
+        return int(value)
+    return None
+
+
+def test_int_likeness_survives_the_memo():
+    values = ["-0", "007", " 7", "7\n", "b10", "12", "-", "", True, False, 0, -3, 2.5]
+    for value in values * 2:  # the second pass reads the memo
+        want = _as_int_unmemoised(value)
+        got = _as_int(value)
+        assert got == want and type(got) is type(want), repr(value)
 
 
 def test_missing_attributes_fail_quietly_and_get_recorded():

@@ -41,6 +41,7 @@ from oracles import (
     random_structured_net,
     random_trace,
     reachable_markings,
+    sample_run_projection,
     silent_closure_reference,
 )
 
@@ -339,6 +340,69 @@ def test_token_game_matches_the_reference_closure_on_random_nets():
 def test_alignment_state_budget(demo_net):
     with pytest.raises(BudgetExceeded):
         align_trace(demo_net, ("A", "B", "C"), state_budget=1)
+
+
+@pytest.mark.parametrize(
+    "net_name, trace, budget, cost",
+    [
+        ("demo", "ABC", 5, 0),
+        ("demo", "AD", 8, 1),
+        ("demo", "ABBD", 6, 0),
+        ("demo", "C", 4, 1),
+        ("demo", "ACB", 9, 1),
+        ("loop", "ACEF", 7, 0),
+        ("loop", "AEF", 11, 1),
+        ("loop", "ABBDFE", 11, 0),
+        ("loop", "ABCE", 22, 1),
+        ("loop", "Z", 18, 5),
+        ("loop", "ADDEF", 25, 2),
+    ],
+)
+def test_alignment_needs_exactly_the_pinned_state_budget(net_name, trace, budget, cost):
+    # The smallest budget that succeeds fixes the settle order that
+    # --state-budget, the CLI's exit code 2 and the cache's failure memo read.
+    net = make_demo_net() if net_name == "demo" else make_loop_net()
+    with pytest.raises(BudgetExceeded, match=f"alignment exceeded {budget - 1} states"):
+        align_trace(net, tuple(trace), state_budget=budget - 1)
+    assert align_trace(net, tuple(trace), state_budget=budget).cost == cost
+
+
+def _outcome(align, net: WorkflowNet, trace: tuple[str, ...], budget: int):
+    try:
+        return align(net, trace, budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_the_replay_phase_changes_nothing_that_astar_returns(monkeypatch):
+    # align_trace must equal A* alone: same alignment and moves, or the same
+    # BudgetExceeded message at every budget; and a fitting trace never reaches A*.
+    astar = wfnet_module._astar_align
+    searched: list[tuple[str, ...]] = []
+
+    def counting(net, trace, state_budget):
+        searched.append(trace)
+        return astar(net, trace, state_budget)
+
+    monkeypatch.setattr(wfnet_module, "_astar_align", counting)
+    budgets = (1, 2, 3, 5, 8, 13, 40, wfnet_module.DEFAULT_STATE_BUDGET)
+    fitting = 0
+    for trial in range(300):
+        rng = seeded_rng("wfnet-two-phase", trial)
+        net = random_structured_net(rng)
+        traces = [tuple(sample_run_projection(net, rng)) for _ in range(3)]
+        traces += [random_trace(net, rng) for _ in range(3)]
+        for trace in traces:
+            for budget in budgets:
+                searched.clear()
+                got = _outcome(align_trace, net, trace, budget)
+                assert got == _outcome(astar, net, trace, budget), (trial, trace, budget)
+                if isinstance(got, Alignment):
+                    replay_alignment(net, trace, got)
+                    assert len(searched) == (got.cost > 0), (trial, trace, budget)
+            # the default budget comes last, and no random net exhausts it
+            fitting += got.cost == 0
+    assert fitting >= 500
 
 
 def test_alignment_cache_computes_each_trace_once(demo_net):
