@@ -71,6 +71,7 @@ from .rules import (
     pretty_rules,
     rule_cost,
     score,
+    score_each,
     trigger,
     vio,
 )

@@ -24,8 +24,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .model import Case, Event, EventLog, InputError, UncorrelatedLog, correlate, elapsed_time
-from .rules import RuleSet, rule_cost, score
+from .model import Event, EventLog, InputError, UncorrelatedLog, correlate, elapsed_time
+from .rules import RuleSet, rule_cost, score_each
 from .wfnet import (
     DEFAULT_MARKING_BUDGET,
     DEFAULT_STATE_BUDGET,
@@ -51,14 +51,16 @@ class AnnealerConfig:
     seed: int = 0
     marking_budget: int = DEFAULT_MARKING_BUDGET
     state_budget: int = DEFAULT_STATE_BUDGET
-    # Recompute every energy without the shared alignment memo and compare.
+    # Recompute fa and fr without the run's alignment and rule-verdict memos and compare.
     debug_recompute: bool = False
 
     def validate(self) -> None:
-        """Raise InputError for a count or budget below 1, naming the field."""
+        """Raise InputError, naming the field, for a count or budget below 1 or a bad tau_init."""
         for name in ("population", "s_max", "marking_budget", "state_budget"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0 < self.tau_init < math.inf:  # NaN fails this too
+            raise InputError(f"tau_init must be a finite number above 0, got {self.tau_init}")
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,6 @@ class CaseRun:
     @property
     def marking(self) -> Marking:
         return thaw(self.node.marking)
-
-    def as_case(self) -> Case:
-        return Case(self.case_id, tuple(self.events))
 
 
 class StreamDecoder:
@@ -165,12 +164,10 @@ class StreamDecoder:
             return candidates[0]
         if not self.rules.rules:
             return self.rng.choice(candidates)  # every score would tie at 0
-        scores = [score(self.rules, event, run.as_case()) for run in candidates]
+        scores = score_each(self.rules, event, [run.events for run in candidates])
         top = max(scores)
         tied = [run for run, s in zip(candidates, scores) if s == top]
-        if len(tied) == 1:
-            return tied[0]
-        return self.rng.choice(tied)
+        return tied[0] if len(tied) == 1 else self.rng.choice(tied)
 
     def step(self, event: Event) -> str:
         """Assign ``event`` to a case and return the chosen case id."""
@@ -264,16 +261,17 @@ def evaluate_individual(
     rules: RuleSet,
     cache: AlignmentCache | None = None,
     config: AnnealerConfig | None = None,
+    verdicts: dict[tuple[int, ...], tuple[int, int]] | None = None,
 ) -> Individual:
-    """Build the correlated log and compute its energy triple."""
+    """Build the correlated log and its energy triple; ``verdicts`` is ``rule_cost``'s memo."""
     config = config or AnnealerConfig()
     log = correlate(stream, assignment)
     fa = log_alignment_cost(net, log, cache, config.state_budget)
-    if config.debug_recompute and cache is not None:
-        fresh = log_alignment_cost(net, log, None, config.state_budget)
-        if fresh != fa:
-            raise AssertionError(f"memoized alignment cost {fa} != recomputed {fresh}")
-    fr = rule_cost(log, rules)
+    fr = rule_cost(log, rules, memo=verdicts)
+    if config.debug_recompute and (cache is not None or verdicts is not None):
+        fresh = (log_alignment_cost(net, log, None, config.state_budget), rule_cost(log, rules))
+        if fresh != (fa, fr):
+            raise AssertionError(f"memoized energies {(fa, fr)} != recomputed {fresh}")
     ft = time_variance(log)
     return Individual(log=log, fa=fa, fr=fr, ft=ft)
 
@@ -286,12 +284,13 @@ def initial_individual(
     config: AnnealerConfig | None = None,
     cache: AlignmentCache | None = None,
     start_activity: str | None = None,
+    verdicts: dict[tuple[int, ...], tuple[int, int]] | None = None,
 ) -> Individual:
     """Decode the whole stream greedily and evaluate it."""
     config = config or AnnealerConfig()
     decoder = StreamDecoder(net, rules, rng, start_activity, config.marking_budget)
     assignment = decoder.run(stream.events)
-    return evaluate_individual(stream, assignment, net, rules, cache, config)
+    return evaluate_individual(stream, assignment, net, rules, cache, config, verdicts)
 
 
 def neighbor(
@@ -396,6 +395,7 @@ def run(
     config.validate()
     start_activity = infer_start_activity(net, config.marking_budget)
     cache = AlignmentCache()
+    verdicts: dict[tuple[int, ...], tuple[int, int]] = {}  # rule_cost's memo, one per run
     master = random.Random(config.seed)
     rngs = [random.Random(master.getrandbits(64)) for _ in range(config.population)]
 
@@ -404,7 +404,7 @@ def run(
     ) -> tuple[Individual, bool]:
         try:
             proposal = neighbor(stream, current, s_curr, net, rules, rng, config, start_activity)
-            candidate = evaluate_individual(stream, proposal, net, rules, cache, config)
+            candidate = evaluate_individual(stream, proposal, net, rules, cache, config, verdicts)
         except BudgetExceeded:
             # An over-budget candidate costs infinity: it loses without a coin.
             return current, False
@@ -412,7 +412,7 @@ def run(
         return chosen, chosen is candidate
 
     population = [
-        initial_individual(stream, net, rules, rng, config, cache, start_activity)
+        initial_individual(stream, net, rules, rng, config, cache, start_activity, verdicts)
         for rng in rngs
     ]
     best = _lex_best(None, population)

@@ -18,12 +18,15 @@ Attribute names resolve against the event payload; ``Act`` is the activity and
 never an error.  Both sides parsing as integers compare numerically, anything
 else compares as strings.
 
-Evaluation is one judgement per (rule, event, earlier events of its case): the
-rule does not apply (``e[i]`` conditions fail, or no earlier event meets the
-``e[j]`` ones), applies at a first event with no predecessor to read, or its
-consequence holds or fails against the anchor.  ``e_sat`` counts a hold and
-``e_vio`` a failure; a case triggers a rule where some position applies and
-violates it where one fails, and ``rule_cost`` reads both from one walk.
+Evaluation is one judgement per (rule, event, earlier events of its case), in
+two sides.  The event side reads the event alone: whether the ``e[i]`` conditions
+hold, and a plain rule's own operand.  The anchor side then reads the case: the
+rule does not apply (no earlier event meets the ``e[j]`` conditions), applies at a
+first event with no predecessor to read, or its consequence holds or fails against
+the anchor.  ``score_each`` scores candidate cases with one event side per rule.
+``e_sat`` counts a hold and ``e_vio`` a failure; a case triggers a rule where some
+position applies and violates it where one fails, and ``rule_cost`` reads both
+from one walk per case, or from a memo of earlier walks.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 from .model import Case, Event, EventLog, InputError, Scalar
 
@@ -460,16 +463,18 @@ def _eval_expr(expr: Expr, e_i: Event, e_j: Event, diag: RuleDiagnostics | None)
 _UNANCHORED = object()
 
 
-def _judge(
-    rule: Rule, event: Event, events: tuple[Event, ...], k: int, diag: RuleDiagnostics | None
-) -> object:
-    """The rule's verdict on ``event`` read right after ``events[:k]`` in its case.
+def _read_event(rule: Rule, event: Event, diag: RuleDiagnostics | None) -> tuple[bool, object]:
+    """Event side: whether the rule applies to ``event``, and a plain rule's own operand."""
+    if isinstance(rule, EqRule):
+        return True, _attr_value(event, rule.attribute, diag)
+    return _conds_hold(rule.conditions, "i", event, diag), None
 
-    None when the rule does not apply; ``_UNANCHORED`` when it applies at k == 0
-    and needs the predecessor; otherwise whether the consequence holds.
-    """
-    if not isinstance(rule, EqRule) and not _conds_hold(rule.conditions, "i", event, diag):
-        return None
+
+def _read_anchor(
+    rule: Rule, event: Event, operand: object, events: Sequence[Event], k: int,
+    diag: RuleDiagnostics | None,
+) -> object:
+    """Anchor side: the verdict of a rule that applies to ``event`` read after ``events[:k]``."""
     if isinstance(rule, IfThenRule) and rule.uses_j:
         for m in range(k - 1, -1, -1):  # the closest earlier event meeting e[j]
             if _conds_hold(rule.conditions, "j", events[m], diag):
@@ -482,11 +487,18 @@ def _judge(
     else:
         return _UNANCHORED
     if isinstance(rule, EqRule):
-        lhs = _attr_value(event, rule.attribute, diag)
-        return _compare(lhs, "==", _attr_value(anchor, rule.attribute, diag))
+        return _compare(operand, "==", _attr_value(anchor, rule.attribute, diag))
     if isinstance(rule, EventTimeRule):
         return rule.dur_min <= event.timestamp - anchor.timestamp <= rule.dur_max
     return _eval_expr(rule.consequence, event, anchor, diag)
+
+
+def _judge(
+    rule: Rule, event: Event, events: Sequence[Event], k: int, diag: RuleDiagnostics | None
+) -> object:
+    """The rule's verdict on ``event`` after ``events[:k]``: None, or the anchor side's."""
+    applies, operand = _read_event(rule, event, diag)
+    return _read_anchor(rule, event, operand, events, k, diag) if applies else None
 
 
 def _walk(
@@ -511,11 +523,24 @@ def e_sat(rule: Rule, event: Event, case: Case, diag: RuleDiagnostics | None = N
     return int(_judge(rule, event, case.events, len(case.events), diag) is True)
 
 
-def score(
-    rules: RuleSet, event: Event, case: Case, diag: RuleDiagnostics | None = None
-) -> int:
+def score_each(
+    rules: RuleSet, event: Event, histories: Sequence[Sequence[Event]],
+    diag: RuleDiagnostics | None = None,
+) -> list[int]:
+    """``score`` of ``event`` after each history, reading the event once per rule."""
+    scores = [0] * len(histories)
+    for rule in rules:
+        applies, operand = _read_event(rule, event, diag)
+        if applies:
+            for n, events in enumerate(histories):
+                if _read_anchor(rule, event, operand, events, len(events), diag) is True:
+                    scores[n] += 1
+    return scores
+
+
+def score(rules: RuleSet, event: Event, case: Case, diag: RuleDiagnostics | None = None) -> int:
     """Number of rules the tentative assignment of ``event`` to ``case`` satisfies."""
-    return sum(e_sat(rule, event, case, diag) for rule in rules)
+    return score_each(rules, event, (case.events,), diag)[0]
 
 
 def trigger(rule: Rule, case: Case, diag: RuleDiagnostics | None = None) -> bool:
@@ -542,20 +567,28 @@ def vio(rule: Rule, case: Case, diag: RuleDiagnostics | None = None) -> bool:
     return _walk(rule, case.events, diag)[1]
 
 
-def rule_cost(log: EventLog, rules: RuleSet, diag: RuleDiagnostics | None = None) -> float:
+def rule_cost(
+    log: EventLog, rules: RuleSet, diag: RuleDiagnostics | None = None,
+    memo: dict[tuple[int, ...], tuple[int, int]] | None = None,
+) -> float:
     """Mean over cases of (violated triggered rules / triggered rules).
 
-    Cases that trigger nothing contribute 0.  Always within [0, 1].
+    Cases that trigger nothing contribute 0.  Always within [0, 1].  ``memo``
+    maps a case's event indices to its (triggered, violated) counts, so one memo
+    serves one stream under one rule set; a call with ``diag`` bypasses it.
     """
     if not rules.rules or not log.cases:
         return 0.0
+    if memo is None or diag is not None:
+        memo = {}  # a throwaway: cases of one log never share a key
     total = 0.0
     for case in log.cases:
-        triggered = violated = 0
-        for rule in rules:
-            fired, broken = _walk(rule, case.events, diag)
-            triggered += fired
-            violated += broken
+        key = tuple(e.index for e in case.events)
+        counts = memo.get(key)
+        if counts is None:
+            walks = [_walk(rule, case.events, diag) for rule in rules]
+            counts = memo[key] = (sum(f for f, _ in walks), sum(b for _, b in walks))
+        triggered, violated = counts
         if triggered:
             total += violated / triggered
     return total / len(log.cases)

@@ -7,7 +7,9 @@ plan instead of the Hungarian method.
 Only net STRUCTURE (preset/postset maps) is shared with the package; no search
 or scoring code is reused.  The rule references keep one definition per
 function (``e_sat``, ``e_vio``, ``trigger``, ``vio``, ``rule_cost``) and share
-only the rule dataclasses, the scalar comparison and the attribute lookup.
+only the rule dataclasses, the scalar comparison and the attribute lookup.  The
+reference decoder replays cases in the dict token game and scores candidates
+with ``e_sat_reference``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import random
 from collections import Counter
 from typing import Sequence
 
-from caseweave import Case, Event, EventLog, RuleSet, Transition, WorkflowNet
+from caseweave import (
+    Case, Event, EventLog, RuleSet, Transition, UncorrelatedLog, WorkflowNet,
+)
 from caseweave.rules import (
     And,
     Comparison,
@@ -609,3 +613,160 @@ def random_rule_events(rng: random.Random, count: int, start: int = 1) -> tuple[
         events.append(Event(index, rng.choice(["a", "b", "c"]), timestamp, attributes))
         timestamp += rng.randint(0, 25)
     return tuple(events)
+
+
+# --- the streaming decoder, restated from its three scenarios -----------------
+
+
+class DecoderReference:
+    """The decoder over the dict token game, scanning every case for every event.
+
+    Cases are dicts in one list, in opening order.  A start-activity event opens
+    a case; any other event goes to the best-scoring open case whose silent
+    closure enables its activity, or else (a deviation) to the best-scoring of
+    all cases, whose marking stays put; with no case yet it opens one without
+    firing.  A case closes when its closure holds a sink token.  Scores are sums
+    of ``e_sat_reference``; ties go to ``rng.choice`` over the tied cases in
+    opening order.  It stands in for ``StreamDecoder`` where ``annealer.run``
+    builds one, with :func:`replay_prefix_reference` for ``replay_prefix``.
+    """
+
+    def __init__(self, net: WorkflowNet, rules: RuleSet, rng: random.Random,
+                 start_activity: str, marking_budget: int | None = None) -> None:
+        # marking_budget is taken for StreamDecoder's signature; the dict token game needs none
+        self.net, self.rules, self.rng = net, rules, rng
+        self.start_activity = start_activity
+        self.cases: list[dict] = []
+        self.assignment: dict[int, str] = {}
+
+    def open(self, case_id: str | None = None) -> dict:
+        if case_id is None:
+            taken = {case["id"] for case in self.cases}
+            n = len(self.cases) + 1
+            while f"c{n}" in taken:
+                n += 1
+            case_id = f"c{n}"
+        case = {"id": case_id, "marking": {self.net.input_place: 1}, "events": [], "closed": False}
+        self.cases.append(case)
+        return case
+
+    def advance(self, case: dict, activity: str) -> bool:
+        targets = silent_closure_reference(self.net, case["marking"])[2]
+        if activity not in targets:
+            return False
+        case["marking"] = targets[activity]
+        case["closed"] = silent_closure_reference(self.net, case["marking"])[1]
+        return True
+
+    def score(self, event: Event, case: dict) -> int:
+        history = Case(case["id"], tuple(case["events"]))
+        return sum(e_sat_reference(rule, event, history) for rule in self.rules)
+
+    def pick(self, candidates: list[dict], event: Event) -> dict:
+        if len(candidates) == 1:
+            return candidates[0]
+        scores = [self.score(event, case) for case in candidates]
+        tied = [c for c, s in zip(candidates, scores) if s == max(scores)]
+        return tied[0] if len(tied) == 1 else self.rng.choice(tied)
+
+    def step(self, event: Event) -> str:
+        if event.activity == self.start_activity:
+            chosen = self.open()
+            if not self.advance(chosen, event.activity):
+                raise ValueError("the start activity cannot fire from the initial marking")
+        else:
+            fitting = [
+                c for c in self.cases
+                if not c["closed"]
+                and event.activity in silent_closure_reference(self.net, c["marking"])[0]
+            ]
+            if fitting:
+                chosen = self.pick(fitting, event)
+                self.advance(chosen, event.activity)
+            elif self.cases:
+                chosen = self.pick(list(self.cases), event)
+            else:
+                chosen = self.open()
+        chosen["events"].append(event)
+        self.assignment[event.index] = chosen["id"]
+        return chosen["id"]
+
+    def run(self, events) -> dict[int, str]:
+        for event in events:
+            self.step(event)
+        return self.assignment
+
+
+def replay_prefix_reference(
+    decoder: DecoderReference, stream: UncorrelatedLog, assignment: dict[int, str], cut: int
+) -> None:
+    """Load the events before 1-based ``cut`` under their ids in ``assignment``.
+
+    An event moves its case's marking when the closure enables its activity and
+    leaves it in place otherwise.
+    """
+    for event in stream.events[: cut - 1]:
+        case_id = assignment[event.index]
+        case = next((c for c in decoder.cases if c["id"] == case_id), None)
+        if case is None:
+            case = decoder.open(case_id)
+        decoder.advance(case, event.activity)
+        case["events"].append(event)
+        decoder.assignment[event.index] = case_id
+
+
+def decoder_reference(
+    net: WorkflowNet,
+    rules: RuleSet,
+    stream: UncorrelatedLog,
+    rng: random.Random,
+    start_activity: str,
+    assignment: dict[int, str] | None = None,
+    cut: int = 1,
+) -> dict[int, str]:
+    """The reference decoder's assignment of ``stream``.
+
+    Events before ``cut`` keep their ids in ``assignment``; the rest are decoded.
+    """
+    decoder = DecoderReference(net, rules, rng, start_activity)
+    replay_prefix_reference(decoder, stream, assignment or {}, cut)
+    return decoder.run(stream.events[cut - 1 :])
+
+
+def random_decoder_instance(
+    rng: random.Random,
+) -> tuple[WorkflowNet, RuleSet, UncorrelatedLog]:
+    """A random net, random rules, and a stream of interleaved runs with deviations.
+
+    Each run is a play of the net's token game cut to 8 events, with up to two
+    deletions, insertions (an outsider ``z`` included) or swaps.  Every run
+    carries one ``K`` value on most of its events and ``L`` varies per event, so
+    attribute rules can tell the runs apart.
+    """
+    net = random_structured_net(rng)
+    runs = []
+    for _ in range(rng.randint(1, 6)):
+        word = sample_run_projection(net, rng)[:8]
+        for _ in range(rng.randint(0, 2)):
+            roll = rng.random()
+            if roll < 0.35 and len(word) > 1:
+                del word[rng.randrange(len(word))]
+            elif roll < 0.75:
+                word.insert(rng.randrange(len(word) + 1), rng.choice(_ACTIVITIES + ["z"]))
+            elif len(word) > 2:
+                i = rng.randrange(len(word) - 1)
+                word[i], word[i + 1] = word[i + 1], word[i]
+        key = _random_scalar(rng)
+        runs.append([(activity, key) for activity in word])
+    events: list[Event] = []
+    timestamp = rng.randint(0, 10)
+    while any(runs):
+        run = rng.choice([r for r in runs if r])
+        activity, key = run.pop(0)
+        attributes = {"K": key} if rng.random() < 0.85 else {}
+        if rng.random() < 0.6:
+            attributes["L"] = _random_scalar(rng)
+        events.append(Event(len(events) + 1, activity, timestamp, attributes))
+        timestamp += rng.randint(0, 25)
+    rules = RuleSet(tuple(random_rule(rng, f"C{n}") for n in range(1, rng.randint(0, 3) + 1)))
+    return net, rules, UncorrelatedLog(tuple(events))

@@ -35,6 +35,12 @@ from caseweave import (
 from caseweave.annealer import replay_prefix, run as anneal
 
 from conftest import DEMO_X, make_demo_net, make_demo_stream, make_loop_net, seeded_rng
+from oracles import (
+    DecoderReference,
+    decoder_reference,
+    random_decoder_instance,
+    replay_prefix_reference,
+)
 
 
 class StubRng(random.Random):
@@ -96,11 +102,54 @@ def test_empty_rules_draw_the_tie_without_scoring(monkeypatch):
     def no_scoring(*_args):
         raise AssertionError("score called with an empty rule set")
 
-    monkeypatch.setattr(annealer_module, "score", no_scoring)
+    monkeypatch.setattr(annealer_module, "score_each", no_scoring)
     bare_rng = random.Random(9)
     bare = StreamDecoder(loop_net, RuleSet(rules=()), bare_rng).run(stream.events)
     assert bare == scored
     assert bare_rng.getstate() == scored_rng.getstate()
+
+
+def test_decoder_matches_the_reference_on_random_instances():
+    drawn_with_rules = 0
+    for trial in range(300):
+        net, rules, stream = random_decoder_instance(seeded_rng("decoder-reference", trial))
+        fast_rng, slow_rng = random.Random(trial), random.Random(trial)
+        fast = StreamDecoder(net, rules, fast_rng).run(stream.events)
+        assert fast == decoder_reference(net, rules, stream, slow_rng, "S"), trial
+        assert fast_rng.getstate() == slow_rng.getstate(), trial  # the same draws
+        drew = fast_rng.getstate() != random.Random(trial).getstate()
+        drawn_with_rules += bool(rules.rules) and drew
+    assert drawn_with_rules >= 50  # rule-scored ties were drawn, not only free ones
+
+
+def test_replay_then_step_matches_the_reference():
+    for trial in range(300):
+        rng = seeded_rng("replay-reference", trial)
+        net, rules, stream = random_decoder_instance(rng)
+        if rng.random() < 0.5:  # an earlier decode, as a neighbour sees it
+            prior = decoder_reference(net, rules, stream, random.Random(-trial), "S")
+        else:  # any partition: closed cases and absorbed events in the prefix
+            prior = {e.index: f"c{rng.randint(1, 4)}" for e in stream.events}
+        cut = rng.randint(1, len(stream))
+        decoder = StreamDecoder(net, rules, random.Random(trial))
+        replay_prefix(decoder, stream, prior, cut)
+        for event in stream.events[cut - 1 :]:
+            decoder.step(event)
+        want = decoder_reference(net, rules, stream, random.Random(trial), "S", prior, cut)
+        assert decoder.assignment == want, trial
+
+
+def test_run_with_the_reference_decoder_swapped_in(monkeypatch):
+    for trial in range(6):
+        net, rules, stream = random_decoder_instance(seeded_rng("run-reference", trial))
+        config = AnnealerConfig(population=3, s_max=4, seed=trial)
+        plain = anneal(stream, net, rules, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(annealer_module, "StreamDecoder", DecoderReference)
+            patch.setattr(annealer_module, "replay_prefix", replay_prefix_reference)
+            reference = anneal(stream, net, rules, config)
+        assert plain.records == reference.records, trial
+        assert plain.best.log.assignment == reference.best.log.assignment, trial
 
 
 def test_decoder_case_bookkeeping(demo_net, demo_rules):
@@ -214,6 +263,23 @@ def test_debug_recompute_accepts_consistent_caches(demo_net, demo_rules):
         stream, dict(DEMO_X), demo_net, demo_rules, cache, config
     )
     assert individual.fa == 1
+
+
+def test_debug_recompute_checks_the_rule_verdict_memo(demo_net, demo_rules):
+    stream = make_demo_stream()
+    config = AnnealerConfig(debug_recompute=True)
+    verdicts: dict = {}
+    for _ in range(2):  # the second call reads every case from the memo
+        individual = evaluate_individual(
+            stream, dict(DEMO_X), demo_net, demo_rules, None, config, verdicts
+        )
+        assert individual.fr == pytest.approx(1 / 6)
+    assert len(verdicts) == 3
+    verdicts[(1, 3, 6)] = (5, 5)  # c1 = <e1, e3, e6>, with counts it does not have
+    lied = evaluate_individual(stream, dict(DEMO_X), demo_net, demo_rules, None, None, verdicts)
+    assert lied.fr != individual.fr  # the memo is read, so a wrong entry shows
+    with pytest.raises(AssertionError, match="recomputed"):
+        evaluate_individual(stream, dict(DEMO_X), demo_net, demo_rules, None, config, verdicts)
 
 
 def test_initial_individual_matches_a_bare_decode(demo_net, demo_rules):
@@ -369,6 +435,9 @@ def test_run_validates_its_config(demo_net, demo_rules):
     ]:
         with pytest.raises(InputError):
             anneal(stream, demo_net, demo_rules, AnnealerConfig(**bad))
+    for tau_init in [0, 0.0, -5, float("nan"), float("inf"), -float("inf")]:
+        with pytest.raises(InputError, match="tau_init"):
+            anneal(stream, demo_net, demo_rules, AnnealerConfig(tau_init=tau_init))
 
 
 def test_run_propagates_the_state_budget(demo_net, demo_rules):

@@ -415,6 +415,15 @@ def test_cli_exit_codes(workspace, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_bad_tau_init_before_reading_the_net(workspace, capsys):
+    argv = ["correlate", "--log", str(workspace / "stream.csv"),
+            "--model", str(workspace / "missing.pnml"), "--out", str(workspace / "o.csv")]
+    for tau_init in ["0", "-5", "nan", "inf"]:
+        assert main(argv + ["--tau-init", tau_init]) == 1
+        err = capsys.readouterr().err
+        assert "tau_init" in err and "missing.pnml" not in err, tau_init
+
+
 def test_cli_workers_accepts_only_one(workspace, capsys):
     argv = ["correlate", "--log", str(workspace / "stream.csv"),
             "--model", str(workspace / "demo.pnml"), "--out", str(workspace / "o.csv"),

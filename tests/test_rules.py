@@ -19,6 +19,7 @@ from caseweave import (
     pretty_rules,
     rule_cost,
     score,
+    score_each,
     trigger,
     vio,
 )
@@ -331,3 +332,59 @@ def test_rule_cost_matches_the_reference_on_random_partitions():
             head, last = case_of(*case.events[:-1]), case.events[-1]
             want = sum(e_sat_reference(rule, last, head) for rule in rules)
             assert score(rules, last, head) == want, trial
+
+
+def test_score_each_is_the_per_history_sum_of_e_sat():
+    for trial in range(2000):
+        rng = seeded_rng("score-each", trial)
+        rules = RuleSet(tuple(random_rule(rng, f"C{n}") for n in range(1, rng.randint(0, 4) + 1)))
+        *earlier, probe = random_rule_events(rng, rng.randint(1, 10))
+        histories = [()] + [
+            tuple(e for e in earlier if rng.random() < 0.6) for _ in range(rng.randint(0, 5))
+        ]
+        rng.shuffle(histories)
+        want = [
+            sum(e_sat_reference(rule, probe, case_of(*history)) for rule in rules)
+            for history in histories
+        ]
+        assert score_each(rules, probe, histories) == want, trial
+        assert [score(rules, probe, case_of(*h)) for h in histories] == want, trial
+
+
+def _shared_partitions(rng, stream, count):
+    """Partitions of ``stream`` that each keep a prefix of the last one and redraw the rest."""
+    assignment = {e.index: f"c{rng.randrange(4)}" for e in stream.events}
+    for _ in range(count):
+        cut = rng.randint(1, len(stream))
+        for event in stream.events[cut - 1 :]:
+            assignment[event.index] = f"c{rng.randrange(4)}"
+        yield correlate(stream, dict(assignment))
+
+
+def test_rule_cost_with_a_run_memo_equals_the_reference_exactly():
+    partitions = reused = 0
+    for trial in range(8):
+        rng = seeded_rng("rule-cost-memo", trial)
+        rules = RuleSet(tuple(random_rule(rng, f"C{n}") for n in range(1, rng.randint(1, 4) + 1)))
+        stream = UncorrelatedLog(random_rule_events(rng, 12))
+        memo: dict = {}
+        for log in _shared_partitions(rng, stream, 80):
+            known = sum(tuple(e.index for e in case.events) in memo for case in log.cases)
+            assert rule_cost(log, rules, memo=memo) == rule_cost_reference(log, rules), trial
+            partitions += 1
+            reused += known
+    assert partitions >= 500 and reused >= 500  # cases recur across partitions
+
+
+def test_rule_cost_with_diagnostics_leaves_the_memo_alone():
+    for trial in range(200):
+        rng = seeded_rng("rule-cost-diag", trial)
+        rules = RuleSet(tuple(random_rule(rng, f"C{n}") for n in range(1, rng.randint(1, 4) + 1)))
+        stream = UncorrelatedLog(random_rule_events(rng, rng.randint(1, 12)))
+        log = next(_shared_partitions(rng, stream, 1))
+        memo = {tuple(e.index for e in case.events): (7, 7) for case in log.cases}  # all wrong
+        before = dict(memo)
+        with_memo, without = RuleDiagnostics(), RuleDiagnostics()
+        assert rule_cost(log, rules, with_memo, memo) == rule_cost(log, rules, without), trial
+        assert memo == before, trial
+        assert with_memo.missing_attributes == without.missing_attributes, trial
