@@ -5,7 +5,10 @@ new case.  Otherwise, open cases whose marking can reach the event's activity
 (through silent transitions) compete on the number of satisfied rules; when no
 open case can replay the activity, every existing case competes instead and the
 winner's marking stays untouched, recording the event as a deviation.  Score
-ties are broken uniformly at random.
+ties are broken uniformly at random.  The decoder indexes its open cases, in
+opening order, so the search for a fitting case costs the cases in flight, not
+every case ever opened; ``StreamDecoder._advance`` is the one place that keeps
+that index in step with the cases' ``closed`` flags.
 
 The annealer keeps a population of candidate correlations.  A neighbor keeps a
 prefix of the stream's assignments, replays it to rebuild case markings, and
@@ -114,7 +117,17 @@ class CaseRun:
 
 
 class StreamDecoder:
-    """Feeds events one by one and accumulates an index -> case assignment."""
+    """Feeds events one by one and accumulates an index -> case assignment.
+
+    ``open_runs`` indexes the open cases: it holds exactly the runs of
+    ``order`` whose ``closed`` is False, in opening order.  ``open_case`` adds
+    to it and ``_advance`` keeps it in step; nothing else changes ``closed``.
+
+    The decoder also counts how its ``step`` calls ended: ``opened`` a case,
+    ``fitted`` an open case, or were absorbed as ``deviations`` (these three sum
+    to the calls), plus the ``ties_drawn`` with the RNG and the open cases
+    ``scanned`` for a fit.  The counts draw no RNG and change no assignment.
+    """
 
     def __init__(
         self,
@@ -135,7 +148,9 @@ class StreamDecoder:
         self.initial = net.node(net.initial_marking())
         self.cases: dict[str, CaseRun] = {}
         self.order: list[CaseRun] = []
+        self.open_runs: dict[str, CaseRun] = {}
         self.assignment: dict[int, str] = {}
+        self.opened = self.fitted = self.deviations = self.ties_drawn = self.scanned = 0
 
     def open_case(self, case_id: str | None = None) -> CaseRun:
         if case_id is None:
@@ -148,49 +163,75 @@ class StreamDecoder:
         run = CaseRun(case_id=case_id, node=self.initial)
         self.cases[case_id] = run
         self.order.append(run)
+        self.open_runs[case_id] = run
         return run
 
     def _advance(self, run: CaseRun, activity: str) -> bool:
-        """Replay ``activity`` in the case's marking if reachable; update closed."""
+        """Replay ``activity`` in the case's marking if reachable; update closed.
+
+        This is the only place ``closed`` changes, so it keeps ``open_runs``
+        in step: a run that closes leaves the index, and a closed run that
+        reopens (``replay_prefix`` can advance a case out of a marking that is
+        final yet still enables a labelled move) rebuilds it from ``order``,
+        so the index keeps opening order.
+        """
         nxt = run.node.moves(self.marking_budget).get(activity)
         if nxt is None:
             return False
         run.node = nxt
-        run.closed = nxt.final(self.marking_budget)
+        closed = nxt.final(self.marking_budget)
+        if closed != run.closed:
+            run.closed = closed
+            if closed:
+                del self.open_runs[run.case_id]
+            else:
+                self.open_runs = {r.case_id: r for r in self.order if not r.closed}
         return True
 
     def _pick(self, candidates: Sequence[CaseRun], event: Event) -> CaseRun:
         if len(candidates) == 1:
             return candidates[0]
         if not self.rules.rules:
-            return self.rng.choice(candidates)  # every score would tie at 0
-        scores = score_each(self.rules, event, [run.events for run in candidates])
-        top = max(scores)
-        tied = [run for run, s in zip(candidates, scores) if s == top]
-        return tied[0] if len(tied) == 1 else self.rng.choice(tied)
+            tied = candidates  # every score would tie at 0
+        else:
+            scores = score_each(self.rules, event, [run.events for run in candidates])
+            top = max(scores)
+            tied = [run for run, s in zip(candidates, scores) if s == top]
+            if len(tied) == 1:
+                return tied[0]
+        self.ties_drawn += 1
+        return self.rng.choice(tied)
 
     def step(self, event: Event) -> str:
-        """Assign ``event`` to a case and return the chosen case id."""
+        """Assign ``event`` to a case and return the chosen case id.
+
+        Only the open cases of ``open_runs`` are scanned for a fit, in opening
+        order; closed cases compete only when no open case fits.
+        """
         if event.activity == self.start_activity:
             chosen = self.open_case()
+            self.opened += 1
             if not self._advance(chosen, event.activity):
                 raise InputError(
                     f"start activity {event.activity!r} cannot fire from the initial marking"
                 )
         else:
+            budget = self.marking_budget
+            self.scanned += len(self.open_runs)
             fitting = [
-                run
-                for run in self.order
-                if not run.closed and event.activity in run.node.moves(self.marking_budget)
+                run for run in self.open_runs.values() if event.activity in run.node.moves(budget)
             ]
             if fitting:
+                self.fitted += 1
                 chosen = self._pick(fitting, event)
                 self._advance(chosen, event.activity)
             elif self.order:
                 # No case can replay the activity: every case competes and the
                 # winner absorbs the event without moving its marking.
-                chosen = self._pick(list(self.order), event)
+                self.deviations += 1
+                chosen = self._pick(self.order, event)
             else:
+                self.opened += 1
                 chosen = self.open_case()
         chosen.events.append(event)
         self.assignment[event.index] = chosen.case_id

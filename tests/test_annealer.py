@@ -17,6 +17,8 @@ from caseweave import (
     RuleSet,
     SimulationConfig,
     StreamDecoder,
+    Transition,
+    WorkflowNet,
     acceptance_prob,
     build_uncorrelated_log,
     cooling,
@@ -150,6 +152,125 @@ def test_run_with_the_reference_decoder_swapped_in(monkeypatch):
             reference = anneal(stream, net, rules, config)
         assert plain.records == reference.records, trial
         assert plain.best.log.assignment == reference.best.log.assignment, trial
+
+
+class IndexCheckingDecoder(StreamDecoder):
+    """Counts reopened cases and draws; checks the open-case index after each step."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reopened = self.draws = 0
+
+    def _advance(self, run, activity):
+        was_closed = run.closed
+        moved = super()._advance(run, activity)
+        self.reopened += was_closed and not run.closed
+        return moved
+
+    def step(self, event):
+        open_before = len(self.open_runs)
+        scanned, steps = self.scanned, self.opened + self.fitted + self.deviations
+        state = self.rng.getstate()
+        case_id = super().step(event)
+        # the outcome counts add up to the steps, and only open cases are scanned
+        assert self.opened + self.fitted + self.deviations == steps + 1
+        assert self.scanned - scanned <= open_before
+        self.draws += self.rng.getstate() != state
+        assert_open_index(self)
+        return case_id
+
+
+def assert_open_index(decoder: StreamDecoder) -> None:
+    want = [run for run in decoder.order if not run.closed]
+    assert list(decoder.open_runs) == [run.case_id for run in want]
+    assert all(got is run for got, run in zip(decoder.open_runs.values(), want))
+
+
+def test_the_open_case_index_holds_exactly_the_open_cases_in_opening_order():
+    reopened = 0
+    for trial in range(300):
+        rng = seeded_rng("open-index", trial)
+        net, rules, stream = random_decoder_instance(rng)
+        decoder = IndexCheckingDecoder(net, rules, random.Random(trial))
+        decoder.run(stream.events)
+        assert decoder.ties_drawn == decoder.draws, trial
+        priors = [
+            dict(decoder.assignment),  # a decoded partition, as a neighbour sees it
+            {e.index: f"c{rng.randint(1, 4)}" for e in stream.events},  # any partition
+        ]
+        for prior in priors:
+            cut = rng.randint(1, len(stream))
+            decoder = IndexCheckingDecoder(net, rules, random.Random(trial))
+            replay_prefix(decoder, stream, prior, cut)
+            assert_open_index(decoder)
+            reopened += decoder.reopened
+            for event in stream.events[cut - 1 :]:
+                decoder.step(event)
+            assert decoder.ties_drawn == decoder.draws, trial
+    assert reopened > 0  # the rebuild on reopening is exercised
+
+
+def make_reopening_net() -> WorkflowNet:
+    """S; X ends in p3, final through the silent t3 to the sink, yet Y leads back before X."""
+    return WorkflowNet(
+        places=["p1", "p2", "p3", "p4"],
+        transitions=[
+            Transition("t1", "S"),
+            Transition("t2", "X"),
+            Transition("t3", None),
+            Transition("t4", "Y"),
+        ],
+        arcs=[
+            ("p1", "t1"), ("t1", "p2"),
+            ("p2", "t2"), ("t2", "p3"),
+            ("p3", "t3"), ("t3", "p4"),
+            ("p3", "t4"), ("t4", "p2"),
+        ],
+    )
+
+
+def test_replay_reopens_a_closed_case_in_its_opening_place():
+    net = make_reopening_net()
+    stream = build_uncorrelated_log([(a, 10 * k, None) for k, a in enumerate("SXSYX")])
+    # c1 closes after <S, X>; the prior partition then gives it Y, which reopens it
+    prior = {1: "c1", 2: "c1", 3: "c2", 4: "c1", 5: "c2"}
+    landed = set()
+    for seed in range(20):
+        decoder = StreamDecoder(net, RuleSet(rules=()), random.Random(seed))
+        replay_prefix(decoder, stream, prior, cut=5)
+        assert not decoder.cases["c1"].closed
+        assert list(decoder.open_runs) == ["c1", "c2"]
+        offered = []
+        pick = decoder._pick
+
+        def spy(runs, event):
+            offered.append([run.case_id for run in runs])
+            return pick(runs, event)
+
+        decoder._pick = spy
+        decoder.step(stream.events[4])
+        assert offered == [["c1", "c2"]], seed
+        slow_rng = random.Random(seed)
+        want = decoder_reference(net, RuleSet(rules=()), stream, slow_rng, "S", prior, cut=5)
+        assert decoder.assignment == want, seed
+        assert decoder.rng.getstate() == slow_rng.getstate(), seed
+        landed.add(decoder.assignment[5])
+    assert landed == {"c1", "c2"}
+
+
+def test_decoder_counts_its_outcomes_on_the_demo_stream(demo_net, demo_rules):
+    decoder = StreamDecoder(demo_net, demo_rules, random.Random(3))
+    scanned = []
+    for event in make_demo_stream().events:
+        before = decoder.scanned
+        decoder.step(event)
+        scanned.append(decoder.scanned - before)
+    # A, A, B, A, B, C, C open c1, c2, c3 and fit; D fits no open case and is
+    # absorbed, with c2 and c3 tied on the rules
+    assert (decoder.opened, decoder.fitted, decoder.deviations) == (3, 4, 1)
+    assert decoder.ties_drawn == 1
+    assert scanned == [0, 0, 2, 0, 3, 3, 2, 1]  # the open cases at each non-start event
+    assert decoder.scanned == 11
 
 
 def test_decoder_case_bookkeeping(demo_net, demo_rules):
