@@ -15,6 +15,7 @@ sequential.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -132,8 +133,10 @@ def simulate_log(net: WorkflowNet, config: SimulationConfig) -> EventLog:
     """Generate a correlated log of ``config.cases`` cases, deterministic per seed."""
     if config.cases < 1:
         raise InputError("need at least one case")
-    if config.inter_arrival <= 0:
-        raise InputError("inter-arrival fraction must be positive")
+    if not 0 < config.inter_arrival < math.inf:  # NaN fails this too
+        raise InputError(
+            f"inter_arrival must be a finite number above 0, got {config.inter_arrival}"
+        )
     report = validate_net(net)
     if not report.ok:
         raise InputError("net is not a workflow net: " + "; ".join(report.problems))

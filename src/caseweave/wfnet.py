@@ -14,19 +14,20 @@ adapters onto the table.
 
 Alignment follows the usual move costs: synchronous moves and silent model
 moves are free, visible model moves and log moves cost 1.  It searches
-(marking node, trace position) states in two phases.  A trace whose symbols
-all label transitions is first replayed breadth-first over the free moves,
-and a final state found there is the answer at cost 0.  Otherwise uniform-cost
-A* runs with an admissible heuristic counting trace symbols that label no
-transition at all.  That heuristic is 0 on a replayed trace, so A* would settle
-the replay's states first and in the same order: the answer, its moves and the
-point where ``state_budget`` runs out are A*'s.  The budget counts states as
-they leave the replay's queue, and afresh as A* settles them.
+(marking node, trace position) states in the order of A* whose consistent
+heuristic counts the trace symbols that label no transition at all.  Under
+that heuristic every move raises ``f = g + h`` by 0 or 1: silent and sync
+moves and log moves on unlabelled symbols by 0, visible model moves and log
+moves on labelled symbols by 1.  So one search settles a cost layer over its
+free moves, in FIFO sub-queues of ascending ``g``, and then seeds the next
+layer from the settled states' cost-1 moves in settle order, in the style of
+Dial's bucket queue.  This reproduces A*'s ``(f, g, push order)`` without a
+heap, and a fitting trace is answered inside the first layer.  The
+``state_budget`` counts each settled state once.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -385,88 +386,80 @@ def align_trace(
 ) -> Alignment:
     """Minimum-cost alignment of ``trace`` against the net's runs.
 
-    Cost 0 if and only if the trace is the visible projection of a run.  When
-    every symbol labels a transition, a FIFO replay over the free moves (silent
-    and sync) runs first; as A*'s heuristic is then 0, A* would settle these
-    states first, in this order, so a final one is A*'s answer.  Otherwise
-    :func:`_astar_align` searches afresh.  Either phase raises BudgetExceeded
-    once it has taken ``state_budget`` states off its queue or heap and needs
-    another; callers treat that as an infinite cost.
+    Cost 0 if and only if the trace is the visible projection of a run.  The
+    search settles (marking node, trace position) states one cost layer
+    ``f = g + h`` at a time, where ``h[pos]`` counts the symbols at or after
+    ``pos`` that no transition labels.  Every move raises ``f`` by 0 or 1, so
+    a layer is settled over its free moves alone, as FIFO sub-queues in
+    ascending ``g``; its settled states, walked in settle order, then seed the
+    next layer with their cost-1 moves.  That is A*'s ``(f, g, push order)``
+    order with a consistent heuristic, and a state's first parent link is
+    final.  Raises BudgetExceeded once ``state_budget`` states are settled and
+    another is needed; each state is settled once, in an order that does not
+    depend on the budget.  Callers treat that as an infinite cost.
     """
     trace = tuple(trace)
     n = len(trace)
-    out_place = net.output_place
-    if net.labels.issuperset(trace):
-        start = (net.node(net.initial_marking()), 0)
-        parent: _Parents = {start: None}
-        queue = [start]
-        for settled, state in enumerate(queue, 1):  # the list grows behind the loop
-            if settled > state_budget:
-                raise BudgetExceeded(f"alignment exceeded {state_budget} states")
-            node, pos = state
-            if pos == n and node.holds(out_place):
-                return Alignment(cost=0, moves=_walk_back(parent, state, trace))
-            for t, nxt in node.successors():
-                if t.label is None:
-                    nstate, kind = (nxt, pos), "model"
-                elif pos < n and t.label == trace[pos]:
-                    nstate, kind = (nxt, pos + 1), "sync"
-                else:
-                    continue
-                if nstate not in parent:
-                    parent[nstate] = (state, kind, t)
-                    queue.append(nstate)
-    return _astar_align(net, trace, state_budget)
-
-
-def _astar_align(net: WorkflowNet, trace: tuple[str, ...], state_budget: int) -> Alignment:
-    """A* over (marking node, trace position) states, popped by ``(f, g, counter)``.
-
-    The heuristic is consistent, so a state's cost is final once settled and a
-    heap entry above the state's best cost is stale.
-    """
-    n = len(trace)
+    labels = net.labels
     # h[i]: symbols at or after position i that no transition can ever match.
     h = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        h[i] = h[i + 1] + (0 if trace[i] in net.labels else 1)
+        h[i] = h[i + 1] + (trace[i] not in labels)
 
     out_place = net.output_place
     start = (net.node(net.initial_marking()), 0)
-    counter = settled = 0
-    heap: list[tuple[int, int, int, _State]] = [(h[0], 0, counter, start)]
-    best_g: dict[_State, int] = {start: 0}
     parent: _Parents = {start: None}
+    # queues[k]: the current layer's states with h[pos] == k, so with g == f - k.
+    queues: list[list[_State]] = [[] for _ in range(h[0] + 1)]
+    queues[h[0]].append(start)
+    f = h[0]
+    settled = 0
+    while True:
+        for k in range(h[0], -1, -1):  # descending h is ascending g
+            queue = queues[k]
+            for state in queue:  # the list grows behind the loop: a FIFO queue
+                settled += 1
+                if settled > state_budget:
+                    raise BudgetExceeded(f"alignment exceeded {state_budget} states")
+                node, pos = state
+                if pos == n and node.holds(out_place):
+                    return Alignment(cost=f, moves=_walk_back(parent, state, trace))
+                for t, nxt in node.successors():
+                    if t.label is None:
+                        nstate, kind = (nxt, pos), "model"
+                    elif pos < n and t.label == trace[pos]:
+                        nstate, kind = (nxt, pos + 1), "sync"
+                    else:
+                        continue
+                    if nstate not in parent:
+                        parent[nstate] = (state, kind, t)
+                        queue.append(nstate)
+                if k and trace[pos] not in labels:  # k > 0 means pos < n
+                    nstate = (node, pos + 1)
+                    if nstate not in parent:
+                        parent[nstate] = (state, "log", None)
+                        queues[k - 1].append(nstate)
 
-    while heap:
-        _f, g, _c, state = heapq.heappop(heap)
-        if g > best_g[state]:
-            continue
-        settled += 1
-        if settled > state_budget:
-            raise BudgetExceeded(f"alignment exceeded {state_budget} states")
-        node, pos = state
-        if pos == n and node.holds(out_place):
-            return Alignment(cost=g, moves=_walk_back(parent, state, trace))
-        edges: list[tuple[MarkingNode, int, int, str, Transition | None]] = []
-        for t, nxt in node.successors():
-            if t.label is None:
-                edges.append((nxt, pos, g, "model", t))
-            else:
-                if pos < n and t.label == trace[pos]:
-                    edges.append((nxt, pos + 1, g, "sync", t))
-                edges.append((nxt, pos, g + 1, "model", t))
-        if pos < n:
-            edges.append((node, pos + 1, g + 1, "log", None))
-        for nxt, npos, ng, kind, t in edges:
-            nstate = (nxt, npos)
-            old = best_g.get(nstate)
-            if old is None or ng < old:
-                best_g[nstate] = ng
-                parent[nstate] = (state, kind, t)
-                counter += 1
-                heapq.heappush(heap, (ng + h[npos], ng, counter, nstate))
-    raise BudgetExceeded("alignment search space exhausted without reaching a final marking")
+        # The layer's states, in settle order, seed the next layer with their
+        # cost-1 moves; these keep h, so a seed joins its source's sub-queue.
+        seeds: list[list[_State]] = [[] for _ in range(h[0] + 1)]
+        for k in range(h[0], -1, -1):
+            seed = seeds[k]
+            for state in queues[k]:
+                node, pos = state
+                for t, nxt in node.successors():
+                    if t.label is not None and (nxt, pos) not in parent:
+                        parent[nxt, pos] = (state, "model", t)
+                        seed.append((nxt, pos))
+                if pos < n and trace[pos] in labels and (node, pos + 1) not in parent:
+                    parent[node, pos + 1] = (state, "log", None)
+                    seed.append((node, pos + 1))
+        if not any(seeds):
+            raise BudgetExceeded(
+                "alignment search space exhausted without reaching a final marking"
+            )
+        queues = seeds
+        f += 1
 
 
 def _walk_back(parent: _Parents, state: _State, trace: tuple[str, ...]) -> tuple[Move, ...]:

@@ -9,7 +9,9 @@ or scoring code is reused.  The rule references keep one definition per
 function (``e_sat``, ``e_vio``, ``trigger``, ``vio``, ``rule_cost``) and share
 only the rule dataclasses, the scalar comparison and the attribute lookup.  The
 reference decoder replays cases in the dict token game and scores candidates
-with ``e_sat_reference``.
+with ``e_sat_reference``.  The exception is ``astar_align_reference``: the heap
+A* that the layered alignment search replaced, kept to pin its settle order.
+It walks the package's marking table and shares ``_walk_back``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from collections import Counter
 from typing import Sequence
 
 from caseweave import (
-    Case, Event, EventLog, RuleSet, Transition, UncorrelatedLog, WorkflowNet,
+    Alignment, BudgetExceeded, Case, Event, EventLog, RuleSet, Transition, UncorrelatedLog,
+    WorkflowNet,
 )
 from caseweave.rules import (
     And,
@@ -33,6 +36,7 @@ from caseweave.rules import (
     _attr_value,
     _compare,
 )
+from caseweave.wfnet import MarkingNode, _Parents, _State, _walk_back
 
 
 class OracleBudget(Exception):
@@ -215,6 +219,61 @@ def brute_force_alignment_cost(
     if not candidates:
         raise OracleBudget("no completing run within the length bound")
     return min(edit_distance_reference(trace, word) for word in candidates)
+
+
+def astar_align_reference(
+    net: WorkflowNet, trace: tuple[str, ...], state_budget: int
+) -> Alignment:
+    """A* over (marking node, trace position) states, popped by ``(f, g, counter)``.
+
+    The heap search ``align_trace`` replaced, kept to pin its settle order: the
+    same cost, moves and budget failure point are expected of the package.
+
+    The heuristic is consistent, so a state's cost is final once settled and a
+    heap entry above the state's best cost is stale.
+    """
+    n = len(trace)
+    # h[i]: symbols at or after position i that no transition can ever match.
+    h = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        h[i] = h[i + 1] + (0 if trace[i] in net.labels else 1)
+
+    out_place = net.output_place
+    start = (net.node(net.initial_marking()), 0)
+    counter = settled = 0
+    heap: list[tuple[int, int, int, _State]] = [(h[0], 0, counter, start)]
+    best_g: dict[_State, int] = {start: 0}
+    parent: _Parents = {start: None}
+
+    while heap:
+        _f, g, _c, state = heapq.heappop(heap)
+        if g > best_g[state]:
+            continue
+        settled += 1
+        if settled > state_budget:
+            raise BudgetExceeded(f"alignment exceeded {state_budget} states")
+        node, pos = state
+        if pos == n and node.holds(out_place):
+            return Alignment(cost=g, moves=_walk_back(parent, state, trace))
+        edges: list[tuple[MarkingNode, int, int, str, Transition | None]] = []
+        for t, nxt in node.successors():
+            if t.label is None:
+                edges.append((nxt, pos, g, "model", t))
+            else:
+                if pos < n and t.label == trace[pos]:
+                    edges.append((nxt, pos + 1, g, "sync", t))
+                edges.append((nxt, pos, g + 1, "model", t))
+        if pos < n:
+            edges.append((node, pos + 1, g + 1, "log", None))
+        for nxt, npos, ng, kind, t in edges:
+            nstate = (nxt, npos)
+            old = best_g.get(nstate)
+            if old is None or ng < old:
+                best_g[nstate] = ng
+                parent[nstate] = (state, kind, t)
+                counter += 1
+                heapq.heappush(heap, (ng + h[npos], ng, counter, nstate))
+    raise BudgetExceeded("alignment search space exhausted without reaching a final marking")
 
 
 def reachable_markings(net: WorkflowNet, cap: int = 2_000) -> list[dict[str, int]]:

@@ -1,5 +1,6 @@
 """Synthetic log generation on a workflow net."""
 
+import math
 import random
 
 import pytest
@@ -116,8 +117,9 @@ def test_weight_validation(loop_net):
 def test_config_validation(demo_net):
     with pytest.raises(InputError):
         simulate_log(demo_net, SimulationConfig(cases=0))
-    with pytest.raises(InputError):
-        simulate_log(demo_net, SimulationConfig(inter_arrival=0.0))
+    for inter_arrival in (0.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="inter_arrival"):
+            simulate_log(demo_net, SimulationConfig(inter_arrival=inter_arrival))
     with pytest.raises(InputError):
         simulate_log(demo_net, SimulationConfig(durations={"A": (0, 0)}))
     with pytest.raises(InputError):

@@ -37,6 +37,7 @@ from conftest import (
 )
 from oracles import (
     OracleBudget,
+    astar_align_reference,
     brute_force_alignment_cost,
     random_structured_net,
     random_trace,
@@ -374,19 +375,11 @@ def _outcome(align, net: WorkflowNet, trace: tuple[str, ...], budget: int):
         return str(exc)
 
 
-def test_the_replay_phase_changes_nothing_that_astar_returns(monkeypatch):
-    # align_trace must equal A* alone: same alignment and moves, or the same
-    # BudgetExceeded message at every budget; and a fitting trace never reaches A*.
-    astar = wfnet_module._astar_align
-    searched: list[tuple[str, ...]] = []
-
-    def counting(net, trace, state_budget):
-        searched.append(trace)
-        return astar(net, trace, state_budget)
-
-    monkeypatch.setattr(wfnet_module, "_astar_align", counting)
+def test_align_trace_matches_the_astar_reference():
+    # align_trace must equal the heap A* it replaced: the same alignment and
+    # moves, or the same BudgetExceeded message, at every budget.
     budgets = (1, 2, 3, 5, 8, 13, 40, wfnet_module.DEFAULT_STATE_BUDGET)
-    fitting = 0
+    unlabelled = non_fitting = 0
     for trial in range(300):
         rng = seeded_rng("wfnet-two-phase", trial)
         net = random_structured_net(rng)
@@ -394,15 +387,44 @@ def test_the_replay_phase_changes_nothing_that_astar_returns(monkeypatch):
         traces += [random_trace(net, rng) for _ in range(3)]
         for trace in traces:
             for budget in budgets:
-                searched.clear()
                 got = _outcome(align_trace, net, trace, budget)
-                assert got == _outcome(astar, net, trace, budget), (trial, trace, budget)
+                want = _outcome(astar_align_reference, net, trace, budget)
+                assert got == want, (trial, trace, budget)
                 if isinstance(got, Alignment):
                     replay_alignment(net, trace, got)
-                    assert len(searched) == (got.cost > 0), (trial, trace, budget)
+            # only a symbol no transition labels reaches a layer's later sub-queues
+            unlabelled += not net.labels.issuperset(trace)
             # the default budget comes last, and no random net exhausts it
-            fitting += got.cost == 0
-    assert fitting >= 500
+            non_fitting += got.cost > 0
+    assert unlabelled >= 400
+    assert non_fitting >= 500
+
+
+@pytest.mark.parametrize("trace", [(), ("A", "B"), ("A", "z", "C")])
+def test_alignment_search_exhausts_a_net_that_cannot_finish(trace):
+    # only the never-marked q feeds the sink, so no final marking is reachable
+    net = WorkflowNet(
+        places=["i", "p", "q", "o"],
+        transitions=[
+            Transition("tA", "A"),
+            Transition("tB", "B"),
+            Transition("tC", "C"),
+            Transition("ts", None),
+        ],
+        arcs=[
+            ("i", "tA"),
+            ("tA", "p"),
+            ("p", "tB"),
+            ("tB", "p"),
+            ("q", "tC"),
+            ("tC", "o"),
+            ("q", "ts"),
+            ("ts", "q"),
+        ],
+    )
+    message = "alignment search space exhausted without reaching a final marking"
+    for align in (align_trace, astar_align_reference):
+        assert _outcome(align, net, trace, wfnet_module.DEFAULT_STATE_BUDGET) == message
 
 
 def test_alignment_cache_computes_each_trace_once(demo_net):
@@ -416,7 +438,7 @@ def test_alignment_cache_computes_each_trace_once(demo_net):
 
 
 def _count_searches(monkeypatch) -> list[int]:
-    """Record the budget of every A* search the cache starts."""
+    """Record the budget of every alignment search the cache starts."""
     budgets: list[int] = []
     real = wfnet_module.align_trace
 
