@@ -361,10 +361,9 @@ def neighbor(
 
 def delta_cost(current: Individual, candidate: Individual) -> float:
     """Energy increase along the first lexicographic component that got worse."""
-    if candidate.fa > current.fa:
-        return float(candidate.fa - current.fa)
-    if candidate.fr > current.fr:
-        return candidate.fr - current.fr
+    for now, new in zip(current.energies, candidate.energies):
+        if new > now:
+            return float(new - now)
     return candidate.ft - current.ft
 
 
@@ -388,22 +387,13 @@ def cooling(tau_init: float, s_curr: int) -> float:
 def select_next(
     current: Individual, candidate: Individual, tau: float, rng: random.Random
 ) -> Individual:
-    """Lexicographic improvement wins outright; anything else needs the coin.
+    """A lexicographically lower energy triple wins outright; anything else needs the coin.
 
-    The RNG is consulted only when the candidate does not improve the deciding
-    component, so equal-or-better proposals never disturb the random stream.
+    The RNG is consulted only when the candidate is not strictly better, so
+    improving proposals never disturb the random stream.
     """
-    if candidate.fa < current.fa:
+    if candidate.energies < current.energies:
         return candidate
-    if candidate.fa == current.fa:
-        if candidate.fr < current.fr:
-            return candidate
-        if candidate.fr == current.fr:
-            if candidate.ft < current.ft or acceptance_prob(
-                delta_cost(current, candidate), tau
-            ) >= rng.random():
-                return candidate
-            return current
     if acceptance_prob(delta_cost(current, candidate), tau) >= rng.random():
         return candidate
     return current

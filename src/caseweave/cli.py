@@ -191,16 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_timestamp_format(p)
     p.set_defaults(func=_cmd_evaluate)
 
+    sim_defaults = SimulationConfig()
     p = sub.add_parser("simulate", help="generate a log by simulating a workflow net")
     p.add_argument("--model", required=True)
     p.add_argument("--cases", type=int, required=True)
     p.add_argument(
         "--inter-arrival",
         type=_fraction,
-        default=1.0,
+        default=sim_defaults.inter_arrival,
         help="release gap as a fraction of the mean cycle time, e.g. 0.25 or 1/4",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=sim_defaults.seed)
     p.add_argument("--out", required=True)
     p.add_argument(
         "--duration",

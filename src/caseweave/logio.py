@@ -9,8 +9,7 @@ rounds sub-minute remainders half up.
 from __future__ import annotations
 
 import csv
-import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timedelta
 from typing import Sequence
 from xml.etree import ElementTree
@@ -18,7 +17,7 @@ from xml.etree import ElementTree
 from .annealer import IterationRecord
 from .measures import MeasureReport
 from .model import EventLog, InputError, Scalar, UncorrelatedLog, build_uncorrelated_log, correlate
-from .rules import RuleSet, parse_rules, pretty_rules
+from .rules import RuleSet, parse_int, parse_rules, pretty_rules
 from .wfnet import Transition, WorkflowNet
 
 DEFAULT_TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
@@ -52,14 +51,9 @@ def format_timestamp(minutes: int, fmt: str = DEFAULT_TIMESTAMP_FORMAT) -> str:
     return (_EPOCH + timedelta(minutes=minutes)).strftime(fmt)
 
 
-_INT_TEXT = re.compile(r"-?\d+$")
-
-
 def _parse_attribute(text: str) -> Scalar:
-    stripped = text.strip()
-    if _INT_TEXT.fullmatch(stripped):
-        return int(stripped)
-    return text
+    number = parse_int(text.strip())
+    return text if number is None else number
 
 
 def read_log_csv(path: str, schema: LogFileSchema | None = None) -> UncorrelatedLog | EventLog:
@@ -148,12 +142,24 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
+def _child_text(element: ElementTree.Element, child: str) -> str | None:
+    """The stripped ``<text>`` of ``element``'s ``child`` element (the last one), if any."""
+    text = None
+    for sub in element:
+        if _local_name(sub.tag) == child:
+            for grandchild in sub:
+                if _local_name(grandchild.tag) == "text":
+                    text = (grandchild.text or "").strip()
+    return text
+
+
 def read_pnml(path: str) -> WorkflowNet:
     """Read the place/transition/arc core of a PNML file.
 
     A transition with an empty or missing name is silent.  Namespaces and page
-    nesting are tolerated; anything beyond places, transitions, and arcs is
-    ignored.
+    nesting are tolerated.  An arc inscription other than 1, or an initial
+    marking other than one token on the source place, would be misread and
+    raises InputError.  Other elements are ignored.
     """
     try:
         root = ElementTree.parse(path).getroot()
@@ -162,6 +168,7 @@ def read_pnml(path: str) -> WorkflowNet:
     places: list[str] = []
     transitions: list[Transition] = []
     arcs: list[tuple[str, str]] = []
+    marked: dict[str, str] = {}  # place -> initial marking text, for nonzero markings
     found_net = False
     for element in root.iter():
         name = _local_name(element.tag)
@@ -172,28 +179,35 @@ def read_pnml(path: str) -> WorkflowNet:
             if not pid:
                 raise InputError(f"{path}: place without id")
             places.append(pid)
+            marking = _child_text(element, "initialMarking")
+            if marking is not None and parse_int(marking) != 0:
+                marked[pid] = marking
         elif name == "transition":
             tid = element.get("id")
             if not tid:
                 raise InputError(f"{path}: transition without id")
-            label: str | None = None
-            for child in element:
-                if _local_name(child.tag) == "name":
-                    for grandchild in child:
-                        if _local_name(grandchild.tag) == "text":
-                            text = (grandchild.text or "").strip()
-                            label = text or None
-            transitions.append(Transition(tid=tid, label=label))
+            transitions.append(Transition(tid=tid, label=_child_text(element, "name") or None))
         elif name == "arc":
             source, target = element.get("source"), element.get("target")
             if not source or not target:
                 raise InputError(f"{path}: arc without source/target")
+            weight = _child_text(element, "inscription")
+            if weight is not None and parse_int(weight) != 1:
+                arc = element.get("id") or f"{source}->{target}"
+                raise InputError(f"{path}: arc {arc} has inscription {weight!r}, expected 1")
             arcs.append((source, target))
     if not found_net:
         raise InputError(f"{path}: no <net> element")
     if not places or not transitions:
         raise InputError(f"{path}: net needs at least one place and one transition")
-    return WorkflowNet(places=places, transitions=transitions, arcs=arcs)
+    net = WorkflowNet(places=places, transitions=transitions, arcs=arcs)
+    for pid, marking in marked.items():
+        if net._sources != (pid,) or parse_int(marking) != 1:
+            raise InputError(
+                f"{path}: place {pid} has initial marking {marking!r};"
+                " only one token on the source place is supported"
+            )
+    return net
 
 
 def read_rules_file(path: str) -> RuleSet:
@@ -206,41 +220,18 @@ def write_rules_file(ruleset: RuleSet, path: str) -> None:
         handle.write(pretty_rules(ruleset))
 
 
-_TRACE_HEADER = (
-    "s_curr",
-    "tau_curr",
-    "slot",
-    "fa",
-    "fr",
-    "ft",
-    "accepted",
-    "global_best_fa",
-    "global_best_fr",
-    "global_best_ft",
-)
-
-
 def write_iteration_trace(records: Sequence[IterationRecord], path: str) -> None:
-    """One CSV row per population slot per iteration, sorted by (s_curr, slot)."""
+    """One CSV row per population slot per iteration, sorted by (s_curr, slot).
+
+    The columns are :class:`IterationRecord`'s fields in order; floats are
+    written with ``repr``, ints and bools as integers.
+    """
     ordered = sorted(records, key=lambda r: (r.s_curr, r.slot))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_TRACE_HEADER)
+        writer.writerow([f.name for f in fields(IterationRecord)])
         for r in ordered:
-            writer.writerow(
-                [
-                    r.s_curr,
-                    repr(r.tau_curr),
-                    r.slot,
-                    r.fa,
-                    repr(r.fr),
-                    repr(r.ft),
-                    int(r.accepted),
-                    r.global_best_fa,
-                    repr(r.global_best_fr),
-                    repr(r.global_best_ft),
-                ]
-            )
+            writer.writerow([repr(v) if isinstance(v, float) else int(v) for v in astuple(r)])
 
 
 def write_report(report: MeasureReport, path: str, fmt: str = "text") -> None:

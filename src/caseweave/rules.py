@@ -389,18 +389,21 @@ def pretty_rules(ruleset: RuleSet) -> str:
 _INT_RE = re.compile(r"-?\d+$")
 
 
+def parse_int(text: str) -> int | None:
+    """The integer ``text`` spells (an optional minus, then digits only), or None."""
+    return int(text) if _INT_RE.fullmatch(text) else None
+
+
+# Memoised: a stream repeats few attribute values across many comparisons.
+_str_as_int = functools.lru_cache(maxsize=4096)(parse_int)
+
+
 def _as_int(value: Scalar) -> int | None:
     if isinstance(value, str):
         return _str_as_int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     return None
-
-
-@functools.lru_cache(maxsize=4096)
-def _str_as_int(value: str) -> int | None:
-    """Memoised: a stream repeats few attribute values across many comparisons."""
-    return int(value) if _INT_RE.fullmatch(value) else None
 
 
 def _compare(lhs: Scalar | None, op: str, rhs: Scalar | None) -> bool:

@@ -28,6 +28,7 @@ heap, and a fitting trace is answered inside the first layer.  The
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -90,18 +91,21 @@ def thaw(frozen: FrozenMarking) -> Marking:
 class MarkingNode:
     """One interned marking of a net; obtain nodes from :meth:`WorkflowNet.node`.
 
-    Each fact is computed on first use and published with a single attribute
-    store, so threads sharing a net at worst compute the same fact twice.
+    Each fact is computed on first use and made visible by one attribute store,
+    so threads sharing a net at worst compute the same fact twice.  The silent
+    closure is walked once and its size kept, so a later call under a smaller
+    budget raises as a fresh walk would.
     """
 
-    __slots__ = ("net", "marking", "_successors", "_moves", "_final")
+    __slots__ = ("net", "marking", "_successors", "_moves", "_final", "_size")
 
     def __init__(self, net: WorkflowNet, marking: FrozenMarking) -> None:
         self.net = net
         self.marking = marking
         self._successors: tuple[tuple[Transition, MarkingNode], ...] | None = None
-        self._moves: dict[str, MarkingNode] | None = None
-        self._final: bool | None = None
+        self._moves: dict[str, MarkingNode] = {}
+        self._final: bool | None = None  # None: the net has no single sink place
+        self._size: float = math.inf  # markings in the silent closure; inf until walked
 
     def holds(self, place: str) -> bool:
         """True when ``place`` carries a token."""
@@ -138,6 +142,24 @@ class MarkingNode:
                 seen.add(nxt)
                 queue.append(nxt)
 
+    def _walk_closure(self, budget: int) -> None:
+        """Walk the silent closure once, keeping its moves, finality and size.
+
+        Called only with ``budget`` below the kept size: a walked closure is too big for it.
+        """
+        if self._size < math.inf:
+            raise BudgetExceeded(f"silent closure exceeded {budget} markings")
+        closure = list(self.reachable(budget, silent_only=True))
+        moves: dict[str, MarkingNode] = {}
+        for node in closure:
+            for t, nxt in node.successors():
+                if t.label is not None and t.label not in moves:
+                    moves[t.label] = nxt
+        sinks = self.net._sinks
+        self._moves = moves
+        self._final = any(node.holds(sinks[0]) for node in closure) if len(sinks) == 1 else None
+        self._size = len(closure)  # stored last: it opens the fast path
+
     def moves(self, budget: int) -> dict[str, MarkingNode]:
         """Activity -> node after firing it behind the shortest silent prefix.
 
@@ -145,22 +167,16 @@ class MarkingNode:
         go to BFS order over silent firings, then to definition order among
         transitions sharing the label.
         """
-        if self._moves is None:
-            moves: dict[str, MarkingNode] = {}
-            for node in self.reachable(budget, silent_only=True):
-                for t, nxt in node.successors():
-                    if t.label is not None and t.label not in moves:
-                        moves[t.label] = nxt
-            self._moves = moves
+        if budget < self._size:
+            self._walk_closure(budget)
         return self._moves
 
     def final(self, budget: int) -> bool:
         """True when the sink place can be covered by firing silent transitions only."""
+        if budget < self._size:
+            self._walk_closure(budget)
         if self._final is None:
-            out_place = self.net.output_place
-            # no early exit: a closure past the budget raises here as in moves()
-            closure = list(self.reachable(budget, silent_only=True))
-            self._final = any(node.holds(out_place) for node in closure)
+            raise InputError(f"net has {len(self.net._sinks)} sink places, expected 1")
         return self._final
 
 
@@ -322,9 +338,9 @@ def validate_net(
         succ.setdefault(src, set()).add(dst)
         pred.setdefault(dst, set()).add(src)
 
-    def reach(start: str, edges: dict[str, set[str]]) -> set[str]:
-        seen = {start}
-        stack = [start]
+    def reach(starts: Iterable[str], edges: dict[str, set[str]]) -> set[str]:
+        seen = set(starts)
+        stack = list(seen)
         while stack:
             node = stack.pop()
             for nxt in edges.get(node, ()):
@@ -335,8 +351,8 @@ def validate_net(
 
     nodes = set(net.places) | {t.tid for t in net.transitions}
     if len(net._sources) == 1 and len(net._sinks) == 1:
-        fwd = reach(net._sources[0], succ)
-        bwd = reach(net._sinks[0], pred)
+        fwd = reach(net._sources, succ)
+        bwd = reach(net._sinks, pred)
         stranded = sorted(nodes - (fwd & bwd))
         if stranded:
             problems.append(f"nodes not on a source-to-sink path: {stranded}")
@@ -354,15 +370,7 @@ def validate_net(
             )
         else:
             tid = starters[0].tid
-            downstream: set[str] = set()
-            stack = list(succ.get(tid, ()))
-            while stack:
-                node = stack.pop()
-                if node in downstream:
-                    continue
-                downstream.add(node)
-                stack.extend(succ.get(node, ()))
-            if tid in downstream:
+            if tid in reach(succ.get(tid, ()), succ):
                 problems.append(f"start transition {tid} lies on a cycle")
     return ValidationReport(ok=not problems, problems=tuple(problems))
 

@@ -206,6 +206,43 @@ def test_inline_pnml_behaves_like_the_demo_net(tmp_path):
     assert align_trace(net, ("A", "B", "C")).cost == 0
 
 
+def read_pnml_text(tmp_path, text: str):
+    path = tmp_path / "net.pnml"
+    path.write_text(text)
+    return read_pnml(str(path))
+
+
+def test_pnml_reads_unit_inscriptions_and_one_source_token(tmp_path):
+    explicit = (
+        DEMO_PNML.replace('<place id="q1"/>', '<place id="q1"><initialMarking><text>1</text>'
+                          "</initialMarking></place>")
+        .replace('<place id="q2"/>', '<place id="q2"><initialMarking><text>0</text>'
+                 "</initialMarking></place>")
+        .replace('target="t1"/>', 'target="t1"><inscription><text>1</text></inscription></arc>')
+    )
+    assert explicit.count("<text>") == DEMO_PNML.count("<text>") + 3
+    net = read_pnml_text(tmp_path, explicit)
+    assert net.initial_marking() == {"q1": 1}
+    assert net.arcs == read_pnml_text(tmp_path, DEMO_PNML).arcs
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ('target="t1"/>', 'target="t1"><inscription><text>2</text></inscription></arc>', "arc a1"),
+        ('target="q2"/>', 'target="q2"><inscription><text>x</text></inscription></arc>', "arc a2"),
+        ('<place id="q1"/>', '<place id="q1"><initialMarking><text>2</text></initialMarking>'
+         "</place>", "place q1"),
+        ('<place id="q3"/>', '<place id="q3"><initialMarking><text>1</text></initialMarking>'
+         "</place>", "place q3"),
+    ],
+)
+def test_pnml_rejects_weights_and_markings_it_would_misread(tmp_path, old, new, named):
+    assert old in DEMO_PNML
+    with pytest.raises(InputError, match=named):
+        read_pnml_text(tmp_path, DEMO_PNML.replace(old, new, 1))
+
+
 # --- rule files and reports ----------------------------------------------------
 
 
@@ -239,6 +276,27 @@ def test_iteration_trace_file(tmp_path, demo_net, demo_rules):
         assert row[6] in ("0", "1")
         assert float(row[1]) == record.tau_curr  # repr round-trips exactly
         assert float(row[5]) == record.ft
+
+
+def test_iteration_trace_cells_are_exact(tmp_path, demo_net, demo_rules):
+    result = anneal(
+        make_demo_stream(),
+        demo_net,
+        demo_rules,
+        AnnealerConfig(population=3, s_max=3, seed=4),
+    )
+    path = tmp_path / "trace.csv"
+    write_iteration_trace(result.records, str(path))
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    ordered = sorted(result.records, key=lambda r: (r.s_curr, r.slot))
+    assert len(rows) == 1 + len(ordered)
+    for row, r in zip(rows[1:], ordered):
+        assert row == [
+            str(r.s_curr), repr(r.tau_curr), str(r.slot), str(r.fa), repr(r.fr), repr(r.ft),
+            "1" if r.accepted else "0",
+            str(r.global_best_fa), repr(r.global_best_fr), repr(r.global_best_ft),
+        ]
 
 
 def test_report_files(tmp_path, paired_logs):

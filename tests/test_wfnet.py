@@ -10,12 +10,16 @@ import caseweave.wfnet as wfnet_module
 from caseweave import (
     Alignment,
     AlignmentCache,
+    AnnealerConfig,
     BudgetExceeded,
+    InputError,
     NotEnabled,
+    RuleSet,
     Transition,
     WorkflowNet,
     advance,
     align_trace,
+    build_uncorrelated_log,
     correlate,
     enabled_activities,
     enabled_transitions,
@@ -23,6 +27,7 @@ from caseweave import (
     infer_start_activity,
     is_final,
     log_alignment_cost,
+    run,
     validate_net,
 )
 from caseweave.wfnet import freeze, thaw
@@ -162,9 +167,64 @@ def make_silent_chain(width: int) -> WorkflowNet:
 
 def test_closure_respects_the_marking_budget():
     assert enabled_activities(make_silent_chain(30), {"p0": 1}) == frozenset({"Z"})
-    # closures are memoized per net, so the budget bites on a fresh instance
+    # each call is held to its own budget, on a fresh net as on a warm one
     with pytest.raises(BudgetExceeded):
         enabled_activities(make_silent_chain(30), {"p0": 1}, budget=5)
+
+
+def make_silent_and_split(width: int) -> WorkflowNet:
+    """A, a silent AND-split into ``width`` one-step silent branches, a silent join, then Z.
+
+    The silent closure after A holds 2 ** width + 2 markings.
+    """
+    places = ["start", "split_in", "join_out", "end"]
+    transitions = [Transition("ta", "A"), Transition("split", None), Transition("join", None)]
+    transitions.append(Transition("tz", "Z"))
+    arcs = [("start", "ta"), ("ta", "split_in"), ("split_in", "split")]
+    arcs += [("join", "join_out"), ("join_out", "tz"), ("tz", "end")]
+    for i in range(width):
+        places += [f"b{i}", f"c{i}"]
+        transitions.append(Transition(f"s{i}", None))
+        arcs += [("split", f"b{i}"), (f"b{i}", f"s{i}"), (f"s{i}", f"c{i}"), (f"c{i}", "join")]
+    return WorkflowNet(places=places, transitions=transitions, arcs=arcs)
+
+
+def test_a_warm_net_applies_a_smaller_budget_as_a_fresh_one_does():
+    stream = build_uncorrelated_log([("A", 0, None), ("Z", 5, None)])
+    no_rules = RuleSet(rules=())
+    calls = {
+        "enabled_activities": lambda net: enabled_activities(net, {"split_in": 1}, budget=50),
+        "is_final": lambda net: is_final(net, {"split_in": 1}, budget=50),
+        "run": lambda net: run(stream, net, no_rules, AnnealerConfig(marking_budget=50)),
+    }
+
+    def raised(call, net: WorkflowNet) -> str:
+        with pytest.raises(BudgetExceeded) as info:
+            call(net)
+        return str(info.value)
+
+    fresh = {name: raised(call, make_silent_and_split(8)) for name, call in calls.items()}
+    assert set(fresh.values()) == {"silent closure exceeded 50 markings"}
+    warm = make_silent_and_split(8)
+    assert run(stream, warm, no_rules, AnnealerConfig(population=2, s_max=2)).best.fa == 0
+    assert {name: raised(call, warm) for name, call in calls.items()} == fresh
+    # a budget that covers the kept closure still gets its answer
+    assert enabled_activities(warm, {"split_in": 1}, budget=258) == frozenset({"Z"})
+    assert not is_final(warm, {"split_in": 1}, budget=258)
+    with pytest.raises(BudgetExceeded, match="exceeded 257 markings"):
+        is_final(warm, {"split_in": 1}, budget=257)
+
+
+def test_a_multi_sink_net_answers_moves_but_not_finality():
+    net = WorkflowNet(
+        places=["p1", "p2", "p3"],
+        transitions=[Transition("t1", "A")],
+        arcs=[("p1", "t1"), ("t1", "p2"), ("t1", "p3")],  # p2 and p3 are both sinks
+    )
+    for _warm in range(2):
+        assert enabled_activities(net, {"p1": 1}) == frozenset({"A"})
+        with pytest.raises(InputError):
+            is_final(net, {"p1": 1})
 
 
 def test_marking_table_keeps_one_node_per_marking_across_threads():
