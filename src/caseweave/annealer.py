@@ -18,17 +18,37 @@ triple (alignment cost fa, rule cost fr, duration variance ft); a worse
 candidate is still adopted with probability exp(-delta/tau) under a
 logarithmic cooling schedule.  The best individual ever seen is tracked
 separately and never regresses.
+
+Energies are kept by delta.  Each individual keeps every case's contributions:
+the alignment cost of its trace, its (triggered, violated) rule counts, and the
+elapsed minutes of its non-first events.  A case is changed exactly when its
+set of events differs between two assignments, so the changed cases are the
+case ids of the pairs found in one assignment but not the other.  A
+candidate's totals are its parent's, minus the old contributions of the
+changed cases, plus their new ones; evaluating from scratch is the same code
+with every case changed.  The totals are integers: ``fa`` itself, the cases'
+violated/triggered shares times lcm(1..|rules|) for ``fr``, and the count, sum
+and sum of squares of the durations per activity for ``ft``.  So ``fr`` and
+``ft`` are exact values rounded to a float once, whatever the order of the
+cases.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import Event, EventLog, InputError, UncorrelatedLog, correlate, elapsed_time
-from .rules import RuleSet, rule_cost, score_each
+from .model import Event, EventLog, InputError, UncorrelatedLog, correlate
+from .rules import (
+    RuleSet,
+    case_verdicts,
+    mean_violation,
+    score_each,
+    violation_scale,
+    violation_share,
+)
 from .wfnet import (
     DEFAULT_MARKING_BUDGET,
     DEFAULT_STATE_BUDGET,
@@ -39,7 +59,6 @@ from .wfnet import (
     WorkflowNet,
     enabled_activities,  # noqa: F401  re-exported: part of this module's namespace
     infer_start_activity,
-    log_alignment_cost,
     thaw,
 )
 
@@ -54,7 +73,7 @@ class AnnealerConfig:
     seed: int = 0
     marking_budget: int = DEFAULT_MARKING_BUDGET
     state_budget: int = DEFAULT_STATE_BUDGET
-    # Recompute fa and fr without the run's alignment and rule-verdict memos and compare.
+    # Recompute every energy total from scratch, without the run's memos, and compare.
     debug_recompute: bool = False
 
     def validate(self) -> None:
@@ -66,14 +85,42 @@ class AnnealerConfig:
             raise InputError(f"tau_init must be a finite number above 0, got {self.tau_init}")
 
 
+Durations = tuple[tuple[str, int], ...]  # (activity, elapsed minutes) of non-first events
+DurationStats = dict[str, tuple[int, int, int]]  # activity -> (count, sum, sum of squares)
+
+
+class CaseEnergy(NamedTuple):
+    """One case's contributions to the energy triple."""
+
+    indices: tuple[int, ...]  # its events, in stream order
+    fa: int  # alignment cost of its trace
+    verdicts: tuple[int, int]  # (triggered, violated) rule counts
+    durations: Durations
+
+
 @dataclass(frozen=True)
 class Individual:
-    """A correlated log with its cached energy triple."""
+    """A correlated log with its cached energy triple.
+
+    An individual that :func:`evaluate_individual` built also keeps each case's
+    contributions and their exact totals: ``violations``, the cases'
+    violated/triggered shares times ``violation_scale(rules)``, and
+    ``durations``, the cases' duration statistics summed per activity.  ``fr``
+    and ``ft`` are those totals rounded to a float once.  An individual built
+    by hand has ``cases`` None.
+    """
 
     log: EventLog
     fa: int
     fr: float
     ft: float
+    cases: Mapping[str, CaseEnergy] | None = field(default=None, repr=False, compare=False)
+    violations: int = field(default=0, repr=False, compare=False)
+    durations: DurationStats = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def assignment(self) -> Mapping[int, str]:
+        return self.log.assignment
 
     @property
     def energies(self) -> tuple[int, float, float]:
@@ -265,56 +312,142 @@ def replay_prefix(
         decoder.assignment[event.index] = case_id
 
 
-def _duration_stats(log: EventLog) -> tuple[list[tuple[str, int]], dict[str, float]]:
-    """(activity, elapsed minutes) per non-first event of each case, and each activity's mean."""
-    samples: list[tuple[str, int]] = []
-    per_activity: dict[str, list[int]] = {}
+def _case_durations(events: Sequence[Event]) -> Durations:
+    """Each non-first event's activity with the minutes since its predecessor."""
+    return tuple([(b.activity, b.timestamp - a.timestamp) for a, b in zip(events, events[1:])])
+
+
+def _add_durations(into: DurationStats, durations: Durations, sign: int) -> None:
+    """Add (sign 1) or remove (sign -1) ``durations`` in ``into``; an emptied activity leaves."""
+    for activity, d in durations:
+        count, total, squares = into.get(activity, (0, 0, 0))
+        if count + sign:
+            into[activity] = (count + sign, total + sign * d, squares + sign * d * d)
+        else:
+            del into[activity]
+
+
+def _log_durations(log: EventLog) -> DurationStats:
+    stats: DurationStats = {}
     for case in log.cases:
-        for position in range(2, len(case.events) + 1):
-            activity = case.events[position - 1].activity
-            duration = elapsed_time(case, position)
-            samples.append((activity, duration))
-            per_activity.setdefault(activity, []).append(duration)
-    return samples, {act: sum(vals) / len(vals) for act, vals in per_activity.items()}
+        _add_durations(stats, _case_durations(case.events), 1)
+    return stats
+
+
+def _variance(stats: DurationStats) -> float:
+    """Σ_act (Σd² − (Σd)²/count) / Σ_act count, exactly, rounded to a float once."""
+    if not stats:
+        return 0.0
+    scale = math.lcm(*(count for count, _t, _q in stats.values()))
+    spread = sum((count * q - t * t) * (scale // count) for count, t, q in stats.values())
+    return spread / (scale * sum(count for count, _t, _q in stats.values()))
 
 
 def duration_means(log: EventLog) -> dict[str, float]:
     """Mean elapsed time per activity, over non-first events of each case."""
-    return _duration_stats(log)[1]
+    return {act: total / count for act, (count, total, _q) in _log_durations(log).items()}
 
 
 def time_variance(log: EventLog) -> float:
     """Variance of inter-event durations around their per-activity means.
 
     Durations are taken per case over every non-first event; the denominator is
-    the count of such events.  A log of singleton cases scores 0.
+    the count of such events.  A log of singleton cases scores 0.  The value
+    is exact until it is rounded to a float once.
     """
-    samples, mean = _duration_stats(log)
-    if not samples:
-        return 0.0
-    return sum((mean[act] - duration) ** 2 for act, duration in samples) / len(samples)
+    return _variance(_log_durations(log))
+
+
+def _changed_cases(
+    stream: UncorrelatedLog,
+    before: Mapping[int, str],
+    cases: Mapping[str, CaseEnergy],
+    assignment: Mapping[int, str],
+) -> dict[str, tuple[Event, ...]]:
+    """New events of each case whose set of events differs between two assignments.
+
+    Those cases are exactly the case ids of the pairs that are in one
+    assignment but not the other.  ``cases`` holds the cases of ``before``; a
+    case that is gone gets no events.
+    """
+    gained: dict[str, list[int]] = {}
+    for index, case_id in assignment.items() ^ before.items():
+        indices = gained.setdefault(case_id, [])
+        if assignment.get(index) == case_id:
+            indices.append(index)
+    events = stream.events
+    changed = {}
+    for case_id, indices in gained.items():
+        old = cases.get(case_id)
+        if old is not None:
+            indices += [i for i in old.indices if assignment[i] == case_id]
+        changed[case_id] = tuple([events[i - 1] for i in sorted(indices)])
+    return changed
 
 
 def evaluate_individual(
     stream: UncorrelatedLog,
-    assignment: dict[int, str],
+    assignment: Mapping[int, str],
     net: WorkflowNet,
     rules: RuleSet,
     cache: AlignmentCache | None = None,
     config: AnnealerConfig | None = None,
     verdicts: dict[tuple[int, ...], tuple[int, int]] | None = None,
+    current: Individual | None = None,
 ) -> Individual:
-    """Build the correlated log and its energy triple; ``verdicts`` is ``rule_cost``'s memo."""
+    """Build the correlated log and its energy triple; ``verdicts`` is ``case_verdicts``' memo.
+
+    Without ``current``, or with one built by hand, every case is evaluated
+    and the assignment is checked to partition the stream.  Otherwise
+    ``assignment`` must be such a partition, as the decoder's are: only the
+    cases whose events differ from ``current``'s are evaluated, and the totals
+    are ``current``'s minus their old contributions plus their new ones.  Both
+    ways give exactly the same totals.
+    """
     config = config or AnnealerConfig()
-    log = correlate(stream, assignment)
-    fa = log_alignment_cost(net, log, cache, config.state_budget)
-    fr = rule_cost(log, rules, memo=verdicts)
-    if config.debug_recompute and (cache is not None or verdicts is not None):
-        fresh = (log_alignment_cost(net, log, None, config.state_budget), rule_cost(log, rules))
-        if fresh != (fa, fr):
-            raise AssertionError(f"memoized energies {(fa, fr)} != recomputed {fresh}")
-    ft = time_variance(log)
-    return Individual(log=log, fa=fa, fr=fr, ft=ft)
+    if current is None or current.cases is None:
+        log = correlate(stream, assignment)
+        cases: dict[str, CaseEnergy] = {}
+        fa, violations, durations = 0, 0, {}
+        changed = {case.case_id: case.events for case in log.cases}
+    else:
+        log = EventLog(base=stream, assignment=assignment)  # unchecked; cases built on demand
+        cases = dict(current.cases)
+        fa, violations, durations = current.fa, current.violations, dict(current.durations)
+        changed = _changed_cases(stream, current.assignment, current.cases, assignment)
+    aligner = cache if cache is not None else AlignmentCache()
+    scale = violation_scale(rules)
+    for case_id, events in changed.items():
+        old = cases.pop(case_id, None)
+        if old is not None:
+            fa -= old.fa
+            violations -= violation_share(old.verdicts, scale)
+            _add_durations(durations, old.durations, -1)
+        if events:
+            new = cases[case_id] = CaseEnergy(
+                tuple([e.index for e in events]),
+                aligner.get_or_compute(
+                    net, tuple([e.activity for e in events]), config.state_budget
+                ).cost,
+                case_verdicts(rules, events, verdicts),
+                _case_durations(events),
+            )
+            fa += new.fa
+            violations += violation_share(new.verdicts, scale)
+            _add_durations(durations, new.durations, 1)
+    individual = Individual(
+        log, fa, mean_violation(violations, scale, len(cases)), _variance(durations),
+        cases, violations, durations,
+    )
+    if config.debug_recompute and any(x is not None for x in (cache, verdicts, current)):
+        # from scratch, with no alignment or verdict memo: every total must match exactly
+        fresh = evaluate_individual(stream, assignment, net, rules, None, config)
+        got, want = (
+            (x.energies, x.violations, x.durations) for x in (individual, fresh)
+        )
+        if got != want:
+            raise AssertionError(f"energies by memo and delta {got} != recomputed {want}")
+    return individual
 
 
 def initial_individual(
@@ -353,7 +486,7 @@ def neighbor(
     low = (n * (s_curr - 1)) // config.s_max + 1
     cut = rng.randint(low, n)
     decoder = StreamDecoder(net, rules, rng, start_activity, config.marking_budget)
-    replay_prefix(decoder, stream, current.log.assignment, cut)
+    replay_prefix(decoder, stream, current.assignment, cut)
     for event in stream.events[cut - 1 :]:
         decoder.step(event)
     return decoder.assignment
@@ -426,7 +559,7 @@ def run(
     config.validate()
     start_activity = infer_start_activity(net, config.marking_budget)
     cache = AlignmentCache()
-    verdicts: dict[tuple[int, ...], tuple[int, int]] = {}  # rule_cost's memo, one per run
+    verdicts: dict[tuple[int, ...], tuple[int, int]] = {}  # case_verdicts' memo, one per run
     master = random.Random(config.seed)
     rngs = [random.Random(master.getrandbits(64)) for _ in range(config.population)]
 
@@ -435,7 +568,9 @@ def run(
     ) -> tuple[Individual, bool]:
         try:
             proposal = neighbor(stream, current, s_curr, net, rules, rng, config, start_activity)
-            candidate = evaluate_individual(stream, proposal, net, rules, cache, config, verdicts)
+            candidate = evaluate_individual(
+                stream, proposal, net, rules, cache, config, verdicts, current
+            )
         except BudgetExceeded:
             # An over-budget candidate costs infinity: it loses without a coin.
             return current, False
@@ -468,4 +603,6 @@ def run(
                     global_best_ft=best.ft,
                 )
             )
+    # candidates skip the partition check; the one log that leaves the run gets it
+    best = replace(best, log=correlate(stream, best.assignment))
     return AnnealerResult(best=best, records=tuple(records))

@@ -9,6 +9,7 @@ rounds sub-minute remainders half up.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timedelta
 from typing import Sequence
@@ -35,12 +36,31 @@ class LogFileSchema:
     timestamp_format: str = DEFAULT_TIMESTAMP_FORMAT
 
 
+# DEFAULT_TIMESTAMP_FORMAT's fixed-width spelling, in ASCII digits (``\d`` takes others too).
+_DEFAULT_TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}")
+
+
 def parse_timestamp(text: str, fmt: str = DEFAULT_TIMESTAMP_FORMAT) -> int:
-    """Wall-clock text to integer minutes; seconds of 30+ round up."""
-    try:
-        moment = datetime.strptime(text.strip(), fmt)
-    except ValueError as exc:
-        raise InputError(f"bad timestamp {text!r}: {exc}") from exc
+    """Wall-clock text to integer minutes; seconds of 30+ round up.
+
+    Text in the default format's fixed width is read by slicing; anything
+    else, an impossible date included, goes through ``strptime``.
+    """
+    stripped = text.strip()
+    moment = None
+    if fmt == DEFAULT_TIMESTAMP_FORMAT and _DEFAULT_TIMESTAMP_RE.fullmatch(stripped):
+        try:
+            moment = datetime(
+                int(stripped[:4]), int(stripped[5:7]), int(stripped[8:10]),
+                int(stripped[11:13]), int(stripped[14:]),
+            )
+        except ValueError:
+            pass  # strptime raises with its own message
+    if moment is None:
+        try:
+            moment = datetime.strptime(stripped, fmt)
+        except ValueError as exc:
+            raise InputError(f"bad timestamp {text!r}: {exc}") from exc
     delta = moment - _EPOCH
     seconds = delta.days * 86400 + delta.seconds
     minutes, remainder = divmod(seconds, 60)
@@ -157,9 +177,10 @@ def read_pnml(path: str) -> WorkflowNet:
     """Read the place/transition/arc core of a PNML file.
 
     A transition with an empty or missing name is silent.  Namespaces and page
-    nesting are tolerated.  An arc inscription other than 1, or an initial
-    marking other than one token on the source place, would be misread and
-    raises InputError.  Other elements are ignored.
+    nesting are tolerated.  An arc inscription other than 1, a second arc
+    between the same two nodes, or an initial marking other than one token on
+    the source place would be misread and raises InputError.  Other elements
+    are ignored.
     """
     try:
         root = ElementTree.parse(path).getroot()
@@ -167,7 +188,7 @@ def read_pnml(path: str) -> WorkflowNet:
         raise InputError(f"{path}: not well-formed XML: {exc}") from exc
     places: list[str] = []
     transitions: list[Transition] = []
-    arcs: list[tuple[str, str]] = []
+    arcs: dict[tuple[str, str], None] = {}  # an ordered set
     marked: dict[str, str] = {}  # place -> initial marking text, for nonzero markings
     found_net = False
     for element in root.iter():
@@ -191,11 +212,13 @@ def read_pnml(path: str) -> WorkflowNet:
             source, target = element.get("source"), element.get("target")
             if not source or not target:
                 raise InputError(f"{path}: arc without source/target")
+            arc = element.get("id") or f"{source}->{target}"
             weight = _child_text(element, "inscription")
             if weight is not None and parse_int(weight) != 1:
-                arc = element.get("id") or f"{source}->{target}"
                 raise InputError(f"{path}: arc {arc} has inscription {weight!r}, expected 1")
-            arcs.append((source, target))
+            if (source, target) in arcs:
+                raise InputError(f"{path}: arc {arc} repeats an arc from {source} to {target}")
+            arcs[source, target] = None
     if not found_net:
         raise InputError(f"{path}: no <net> element")
     if not places or not transitions:

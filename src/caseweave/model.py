@@ -106,7 +106,9 @@ class EventLog:
     """A correlated log: the base stream plus a total assignment index -> case id.
 
     The assignment must cover every event exactly once (it is a partition of
-    the stream).  Use :func:`correlate` to construct one with validation.
+    the stream).  Use :func:`correlate` to construct one with validation; one
+    built directly is not checked, and holds the assignment it is given.
+    Either way the cases are grouped only when first read.
     """
 
     base: UncorrelatedLog

@@ -25,13 +25,15 @@ rule does not apply (no earlier event meets the ``e[j]`` conditions), applies at
 first event with no predecessor to read, or its consequence holds or fails against
 the anchor.  ``score_each`` scores candidate cases with one event side per rule.
 ``e_sat`` counts a hold and ``e_vio`` a failure; a case triggers a rule where some
-position applies and violates it where one fails, and ``rule_cost`` reads both
-from one walk per case, or from a memo of earlier walks.
+position applies and violates it where one fails.  ``case_verdicts`` reads both
+from one walk per case, or from a memo of earlier walks, and ``rule_cost`` sums
+the cases' shares exactly before rounding their mean once.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -570,28 +572,61 @@ def vio(rule: Rule, case: Case, diag: RuleDiagnostics | None = None) -> bool:
     return _walk(rule, case.events, diag)[1]
 
 
+def case_verdicts(
+    rules: RuleSet, events: Sequence[Event],
+    memo: dict[tuple[int, ...], tuple[int, int]] | None = None,
+    diag: RuleDiagnostics | None = None,
+) -> tuple[int, int]:
+    """One case's (triggered, violated) rule counts, from one walk per rule.
+
+    ``memo`` maps a case's event indices to its counts, so one memo serves one
+    stream under one rule set.
+    """
+    if not rules.rules:
+        return (0, 0)
+    key = tuple([e.index for e in events])
+    counts = None if memo is None else memo.get(key)
+    if counts is None:
+        walks = [_walk(rule, events, diag) for rule in rules]
+        counts = (sum(f for f, _ in walks), sum(b for _, b in walks))
+        if memo is not None:
+            memo[key] = counts
+    return counts
+
+
+def violation_scale(rules: RuleSet) -> int:
+    """lcm(1..|rules|): times this, every case's violated/triggered share is an integer."""
+    return math.lcm(*range(1, len(rules.rules) + 1))
+
+
+def violation_share(counts: tuple[int, int], scale: int) -> int:
+    """A case's violated/triggered share times ``scale``, exactly; 0 if it triggers nothing."""
+    triggered, violated = counts
+    return violated * scale // triggered if triggered else 0
+
+
+def mean_violation(total: int, scale: int, cases: int) -> float:
+    """The mean of ``cases`` shares whose scaled sum is ``total``, rounded to a float once."""
+    return total / (scale * cases) if cases else 0.0
+
+
 def rule_cost(
     log: EventLog, rules: RuleSet, diag: RuleDiagnostics | None = None,
     memo: dict[tuple[int, ...], tuple[int, int]] | None = None,
 ) -> float:
     """Mean over cases of (violated triggered rules / triggered rules).
 
-    Cases that trigger nothing contribute 0.  Always within [0, 1].  ``memo``
-    maps a case's event indices to its (triggered, violated) counts, so one memo
-    serves one stream under one rule set; a call with ``diag`` bypasses it.
+    Cases that trigger nothing contribute 0.  Always within [0, 1].  The mean
+    is summed exactly and rounded once.  ``memo`` is :func:`case_verdicts`'s;
+    a call with ``diag`` bypasses it.
     """
     if not rules.rules or not log.cases:
         return 0.0
-    if memo is None or diag is not None:
-        memo = {}  # a throwaway: cases of one log never share a key
-    total = 0.0
-    for case in log.cases:
-        key = tuple(e.index for e in case.events)
-        counts = memo.get(key)
-        if counts is None:
-            walks = [_walk(rule, case.events, diag) for rule in rules]
-            counts = memo[key] = (sum(f for f, _ in walks), sum(b for _, b in walks))
-        triggered, violated = counts
-        if triggered:
-            total += violated / triggered
-    return total / len(log.cases)
+    if diag is not None:
+        memo = None
+    scale = violation_scale(rules)
+    total = sum(
+        violation_share(case_verdicts(rules, case.events, memo, diag), scale)
+        for case in log.cases
+    )
+    return mean_violation(total, scale, len(log.cases))

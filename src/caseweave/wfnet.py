@@ -91,10 +91,9 @@ def thaw(frozen: FrozenMarking) -> Marking:
 class MarkingNode:
     """One interned marking of a net; obtain nodes from :meth:`WorkflowNet.node`.
 
-    Each fact is computed on first use and made visible by one attribute store,
-    so threads sharing a net at worst compute the same fact twice.  The silent
-    closure is walked once and its size kept, so a later call under a smaller
-    budget raises as a fresh walk would.
+    Each fact is computed on first use and kept.  The silent closure is walked
+    once and its size kept, so a later call under a smaller budget raises as a
+    fresh walk would.
     """
 
     __slots__ = ("net", "marking", "_successors", "_moves", "_final", "_size")
@@ -241,8 +240,10 @@ class WorkflowNet:
     def node(self, marking: Marking) -> MarkingNode:
         """The table's node for ``marking``, added on first sight."""
         key = freeze(marking)
-        # one setdefault call: threads racing on a new marking get the same node
-        return self._nodes.setdefault(key, MarkingNode(self, key))
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = MarkingNode(self, key)
+        return node
 
     def transition(self, tid: str) -> Transition:
         for t in self.transitions:
@@ -409,21 +410,21 @@ def align_trace(
     trace = tuple(trace)
     n = len(trace)
     labels = net.labels
-    # h[i]: symbols at or after position i that no transition can ever match.
-    h = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        h[i] = h[i + 1] + (trace[i] not in labels)
+    # h[pos], the symbols at or after pos that no transition can ever match, is
+    # the index of a state's sub-queue; only h[0] is needed, and it is 0 for a
+    # trace of labelled symbols.
+    h0 = 0 if labels.issuperset(trace) else sum(symbol not in labels for symbol in trace)
 
     out_place = net.output_place
     start = (net.node(net.initial_marking()), 0)
     parent: _Parents = {start: None}
     # queues[k]: the current layer's states with h[pos] == k, so with g == f - k.
-    queues: list[list[_State]] = [[] for _ in range(h[0] + 1)]
-    queues[h[0]].append(start)
-    f = h[0]
+    queues: list[list[_State]] = [[] for _ in range(h0 + 1)]
+    queues[h0].append(start)
+    f = h0
     settled = 0
     while True:
-        for k in range(h[0], -1, -1):  # descending h is ascending g
+        for k in range(h0, -1, -1):  # descending h is ascending g
             queue = queues[k]
             for state in queue:  # the list grows behind the loop: a FIFO queue
                 settled += 1
@@ -450,8 +451,8 @@ def align_trace(
 
         # The layer's states, in settle order, seed the next layer with their
         # cost-1 moves; these keep h, so a seed joins its source's sub-queue.
-        seeds: list[list[_State]] = [[] for _ in range(h[0] + 1)]
-        for k in range(h[0], -1, -1):
+        seeds: list[list[_State]] = [[] for _ in range(h0 + 1)]
+        for k in range(h0, -1, -1):
             seed = seeds[k]
             for state in queues[k]:
                 node, pos = state
@@ -485,8 +486,7 @@ class AlignmentCache:
 
     A trace whose search ran out of budget is not searched again under a budget
     no larger than that one: the call raises a fresh BudgetExceeded carrying
-    the failure's message.  Each insert is a single dict store, so threads
-    sharing a cache at worst search one trace twice.
+    the failure's message.
     """
 
     def __init__(self) -> None:
@@ -517,7 +517,8 @@ class AlignmentCache:
             # a budget above any recorded failure, so this keeps the largest
             self._failed[key] = (state_budget, str(exc))
             raise
-        return self._data.setdefault(key, result)
+        self._data[key] = result
+        return result
 
 
 def log_alignment_cost(

@@ -7,7 +7,8 @@ plan instead of the Hungarian method.
 Only net STRUCTURE (preset/postset maps) is shared with the package; no search
 or scoring code is reused.  The rule references keep one definition per
 function (``e_sat``, ``e_vio``, ``trigger``, ``vio``, ``rule_cost``) and share
-only the rule dataclasses, the scalar comparison and the attribute lookup.  The
+only the rule dataclasses, the scalar comparison and the attribute lookup;
+``rule_cost`` and the duration variance are summed in exact fractions.  The
 reference decoder replays cases in the dict token game and scores candidates
 with ``e_sat_reference``.  The exception is ``astar_align_reference``: the heap
 A* that the layered alignment search replaced, kept to pin its settle order.
@@ -20,6 +21,7 @@ import heapq
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 from typing import Sequence
 
 from caseweave import (
@@ -587,17 +589,36 @@ def vio_reference(rule, case: Case) -> bool:
 
 
 def rule_cost_reference(log: EventLog, rules: RuleSet) -> float:
-    """Mean over cases of violated triggered rules over triggered rules."""
+    """Mean over cases of violated triggered rules over triggered rules.
+
+    Summed in exact fractions and rounded to a float once.
+    """
     if not rules.rules or not log.cases:
         return 0.0
-    total = 0.0
+    total = Fraction(0)
     for case in log.cases:
         triggered = [rule for rule in rules if trigger_reference(rule, case)]
         if not triggered:
             continue
         violated = sum(vio_reference(rule, case) for rule in triggered)
-        total += violated / len(triggered)
-    return total / len(log.cases)
+        total += Fraction(violated, len(triggered))
+    return float(total / len(log.cases))
+
+
+def time_variance_reference(log: EventLog) -> Fraction:
+    """Mean squared deviation of each non-first event's elapsed minutes from its activity's mean."""
+    samples = [
+        (b.activity, b.timestamp - a.timestamp)
+        for case in log.cases
+        for a, b in zip(case.events, case.events[1:])
+    ]
+    if not samples:
+        return Fraction(0)
+    by_activity: dict[str, list[int]] = {}
+    for activity, minutes in samples:
+        by_activity.setdefault(activity, []).append(minutes)
+    mean = {activity: Fraction(sum(v), len(v)) for activity, v in by_activity.items()}
+    return sum((minutes - mean[activity]) ** 2 for activity, minutes in samples) / len(samples)
 
 
 # --- random rules and events --------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -39,9 +40,13 @@ from caseweave.annealer import replay_prefix, run as anneal
 from conftest import DEMO_X, make_demo_net, make_demo_stream, make_loop_net, seeded_rng
 from oracles import (
     DecoderReference,
+    OracleBudget,
+    brute_force_alignment_cost,
     decoder_reference,
     random_decoder_instance,
     replay_prefix_reference,
+    rule_cost_reference,
+    time_variance_reference,
 )
 
 
@@ -401,6 +406,71 @@ def test_debug_recompute_checks_the_rule_verdict_memo(demo_net, demo_rules):
     assert lied.fr != individual.fr  # the memo is read, so a wrong entry shows
     with pytest.raises(AssertionError, match="recomputed"):
         evaluate_individual(stream, dict(DEMO_X), demo_net, demo_rules, None, config, verdicts)
+
+
+def test_debug_recompute_checks_the_delta_totals(demo_net, demo_rules):
+    stream = make_demo_stream()
+    config = AnnealerConfig(debug_recompute=True)
+    current = evaluate_individual(stream, dict(DEMO_X), demo_net, demo_rules)
+    proposal = dict(DEMO_X)
+    proposal[8] = "c2"  # c2 and c3 change; c1 keeps its contributions
+    candidate = evaluate_individual(
+        stream, proposal, demo_net, demo_rules, None, config, None, current
+    )
+    assert candidate.energies == evaluate_individual(stream, proposal, demo_net, demo_rules).energies
+    assert candidate.cases["c1"] is current.cases["c1"]  # reused, not re-scored
+    # a wrong total is carried over into the delta, and the rebuild shows it
+    count, total, squares = current.durations["B"]
+    for stale in (
+        replace(current, fa=current.fa + 1),
+        replace(current, violations=current.violations + 1),
+        replace(current, durations={**current.durations, "B": (count, total, squares + 1)}),
+    ):
+        with pytest.raises(AssertionError, match="recomputed"):
+            evaluate_individual(stream, proposal, demo_net, demo_rules, None, config, None, stale)
+
+
+def test_delta_energies_match_the_oracles_along_random_proposal_chains():
+    checked = 0
+    for trial in range(40):
+        rng = seeded_rng("delta-energies", trial)
+        net, rules, stream = random_decoder_instance(rng)
+        # every evaluation also rebuilds its totals from scratch and compares
+        config = AnnealerConfig(s_max=4, debug_recompute=True)
+        cache, verdicts, costs = AlignmentCache(), {}, {}
+        current = initial_individual(
+            stream, net, rules, random.Random(trial), config, cache, "S", verdicts
+        )
+        for _step in range(10):
+            if rng.random() < 0.7:  # a cut-and-redecode neighbour
+                level = rng.randint(1, config.s_max)
+                proposal = neighbor(stream, current, level, net, rules, rng, config, "S")
+            else:  # any partition that keeps a prefix: cases vanish and appear
+                proposal = dict(current.assignment)
+                for event in stream.events[rng.randint(1, len(stream)) - 1 :]:
+                    proposal[event.index] = f"c{rng.randint(1, 5)}"
+            candidate = evaluate_individual(
+                stream, proposal, net, rules, cache, config, verdicts, current
+            )
+            log = correlate(stream, proposal)
+            assert {c.case_id: tuple(e.index for e in c.events) for c in log.cases} == {
+                case_id: case.indices for case_id, case in candidate.cases.items()
+            }, trial
+            assert candidate.fr == rule_cost_reference(log, rules), trial
+            assert candidate.ft == float(time_variance_reference(log)), trial
+            for case in log.cases:
+                if case.trace not in costs:
+                    try:
+                        costs[case.trace] = brute_force_alignment_cost(net, case.trace, 2_000)
+                    except OracleBudget:
+                        costs[case.trace] = None
+            fa = [costs[case.trace] for case in log.cases]
+            if None not in fa:
+                assert candidate.fa == sum(fa), trial
+                checked += 1
+            if rng.random() < 0.8:
+                current = candidate
+    assert checked >= 300  # steps whose every trace the brute force could cost
 
 
 def test_initial_individual_matches_a_bare_decode(demo_net, demo_rules):

@@ -1,6 +1,7 @@
 """CSV/PNML/rule-file round trips and the command line."""
 
 import csv
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -25,6 +26,7 @@ from caseweave import (
 )
 from caseweave.annealer import run as anneal
 from caseweave.cli import main
+from caseweave.logio import DEFAULT_TIMESTAMP_FORMAT
 from caseweave.measures import MeasureReport, evaluate
 
 from conftest import (
@@ -34,6 +36,7 @@ from conftest import (
     make_demo_net,
     make_demo_stream,
     make_loop_net,
+    seeded_rng,
 )
 
 CLAIMS_FORMAT = "%d/%m/%Y %H:%M"
@@ -72,6 +75,49 @@ def test_sub_minute_parts_round_half_up():
     assert parse_timestamp("2020-01-01 00:05:30", fmt) == base + 1
     with pytest.raises(InputError):
         parse_timestamp("yesterday")
+
+
+def strptime_minutes(text: str) -> int | str:
+    """The default format read by ``strptime`` alone: minutes, or the error text."""
+    try:
+        moment = datetime.strptime(text.strip(), DEFAULT_TIMESTAMP_FORMAT)
+    except ValueError as exc:
+        return f"bad timestamp {text!r}: {exc}"
+    return (moment - datetime(1970, 1, 1)) // timedelta(minutes=1)
+
+
+def random_timestamp_text(rng) -> str:
+    """Default-format text with fields out of range, and sometimes a character changed."""
+    text = "{:04d}-{:02d}-{:02d} {:02d}:{:02d}".format(
+        rng.randint(0, 9999), rng.randint(0, 13), rng.randint(0, 32),
+        rng.randint(0, 25), rng.randint(0, 61),
+    )
+    roll = rng.random()
+    if roll < 0.3:  # a wrong character, a non-ASCII digit among them
+        at = rng.randrange(len(text))
+        text = text[:at] + rng.choice("0123456789 -:/x\u0663\uff11") + text[at + 1 :]
+    elif roll < 0.4:
+        at = rng.randrange(len(text))
+        text = text[:at] + text[at + 1 :]
+    elif roll < 0.5:
+        text = rng.choice([" ", "\t", ""]) + text + rng.choice([" ", "\n", ""])
+    return text
+
+
+def test_the_default_format_reads_as_strptime_reads_it():
+    parsed = failed = 0
+    for trial in range(3000):
+        text = random_timestamp_text(seeded_rng("timestamps", trial))
+        want = strptime_minutes(text)
+        if isinstance(want, int):
+            assert parse_timestamp(text) == want, text
+            parsed += 1
+        else:
+            with pytest.raises(InputError) as raised:
+                parse_timestamp(text)
+            assert str(raised.value) == want, text
+            failed += 1
+    assert parsed >= 1000 and failed >= 1000
 
 
 # --- log CSV ------------------------------------------------------------------
@@ -235,6 +281,8 @@ def test_pnml_reads_unit_inscriptions_and_one_source_token(tmp_path):
          "</place>", "place q1"),
         ('<place id="q3"/>', '<place id="q3"><initialMarking><text>1</text></initialMarking>'
          "</place>", "place q3"),
+        # two parallel arcs would be one arc of weight 2, not two of weight 1
+        ('<arc id="a9"', '<arc id="a11" source="t1" target="q2"/><arc id="a9"', "arc a11"),
     ],
 )
 def test_pnml_rejects_weights_and_markings_it_would_misread(tmp_path, old, new, named):
