@@ -54,12 +54,10 @@ from .wfnet import (
     DEFAULT_STATE_BUDGET,
     AlignmentCache,
     BudgetExceeded,
-    Marking,
     MarkingNode,
     WorkflowNet,
     enabled_activities,  # noqa: F401  re-exported: part of this module's namespace
     infer_start_activity,
-    thaw,
 )
 
 
@@ -157,10 +155,6 @@ class CaseRun:
     node: MarkingNode
     events: list[Event] = field(default_factory=list)
     closed: bool = False
-
-    @property
-    def marking(self) -> Marking:
-        return thaw(self.node.marking)
 
 
 class StreamDecoder:

@@ -2,15 +2,18 @@
 
 A workflow net has one source place (the initial marking puts a single token
 there) and one sink place; transitions either carry an activity label or are
-silent.  Finality is covering: a marking is final when the sink place holds a
-token, possibly after firing silent transitions only.
+silent.  Every arc has weight 1, so a transition's preset and postset are
+tuples of places, and firing moves one token along each arc.  Finality is
+covering: a marking is final when the sink place holds a token, possibly after
+firing silent transitions only.
 
 Each net keeps a marking table with one interned :class:`MarkingNode` per
 distinct marking seen.  A node lazily holds its enabled transitions with their
 target nodes, the node each activity advances to through the silent closure,
-and its finality; the decoder, the reachability check and alignment all walk
-this one successor relation.  Functions taking a ``Marking`` dict are
-adapters onto the table.
+and its finality; the decoder, the simulator, the reachability check and
+alignment all walk this one successor relation.  :func:`fire` is the firing
+rule the table is built with; the other functions taking a ``Marking`` dict
+are adapters onto the table.
 
 Alignment follows the usual move costs: synchronous moves and silent model
 moves are free, visible model moves and log moves cost 1.  It searches
@@ -182,7 +185,9 @@ class MarkingNode:
 class WorkflowNet:
     """Immutable net structure plus its lazily grown marking table.
 
-    Arcs connect places to transitions or transitions to places, weight 1.
+    Arcs connect places to transitions or transitions to places, weight 1; a
+    repeated arc counts once.  ``preset`` and ``postset`` map each transition
+    id to its places in arc order.
     Construction validates referential integrity only; semantic soundness
     checks live in :func:`validate_net` so that callers can inspect problems
     instead of catching exceptions.
@@ -204,21 +209,19 @@ class WorkflowNet:
         tid_set = set(tids)
         if place_set & tid_set:
             raise InputError("place and transition ids overlap")
-        self.preset: dict[str, Marking] = {t: {} for t in tids}
-        self.postset: dict[str, Marking] = {t: {} for t in tids}
-        place_out: dict[str, int] = {p: 0 for p in self.places}
-        place_in: dict[str, int] = {p: 0 for p in self.places}
+        self.preset: dict[str, tuple[str, ...]] = {t: () for t in tids}
+        self.postset: dict[str, tuple[str, ...]] = {t: () for t in tids}
         for src, dst in self.arcs:
             if src in place_set and dst in tid_set:
-                self.preset[dst][src] = self.preset[dst].get(src, 0) + 1
-                place_out[src] += 1
+                self.preset[dst] += (src,)
             elif src in tid_set and dst in place_set:
-                self.postset[src][dst] = self.postset[src].get(dst, 0) + 1
-                place_in[dst] += 1
+                self.postset[src] += (dst,)
             else:
                 raise InputError(f"arc ({src}, {dst}) does not connect a place and a transition")
-        self._sources = tuple(p for p in self.places if place_in[p] == 0)
-        self._sinks = tuple(p for p in self.places if place_out[p] == 0)
+        fed = {p for places in self.postset.values() for p in places}
+        drained = {p for places in self.preset.values() for p in places}
+        self._sources = tuple(p for p in self.places if p not in fed)
+        self._sinks = tuple(p for p in self.places if p not in drained)
         self.labels = frozenset(t.label for t in self.transitions if t.label is not None)
         self._nodes: dict[FrozenMarking, MarkingNode] = {}
 
@@ -253,12 +256,12 @@ class WorkflowNet:
 
 
 def _is_enabled(net: WorkflowNet, marking: Marking, tid: str) -> bool:
-    return all(marking.get(p, 0) >= n for p, n in net.preset[tid].items())
+    return all(marking.get(p, 0) > 0 for p in net.preset[tid])
 
 
 def enabled_transitions(net: WorkflowNet, marking: Marking) -> frozenset[str]:
     """Ids of transitions the marking enables directly (no silent closure)."""
-    return frozenset(t.tid for t in net.transitions if _is_enabled(net, marking, t.tid))
+    return frozenset(t.tid for t, _nxt in net.node(marking).successors())
 
 
 def fire(net: WorkflowNet, marking: Marking, tid: str) -> Marking:
@@ -268,14 +271,14 @@ def fire(net: WorkflowNet, marking: Marking, tid: str) -> Marking:
     if not _is_enabled(net, marking, tid):
         raise NotEnabled(f"transition {tid} not enabled")
     new = dict(marking)
-    for p, n in net.preset[tid].items():
-        left = new[p] - n
+    for p in net.preset[tid]:
+        left = new[p] - 1
         if left:
             new[p] = left
         else:
             del new[p]
-    for p, n in net.postset[tid].items():
-        new[p] = new.get(p, 0) + n
+    for p in net.postset[tid]:
+        new[p] = new.get(p, 0) + 1
     return new
 
 

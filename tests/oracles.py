@@ -4,15 +4,18 @@ Everything here recomputes results from first principles: a distance DP that
 does not go through an LCS, exhaustive enumeration of run projections instead
 of a guided search, and permutation scans or a walk over every transport
 plan instead of the Hungarian method.
-Only net STRUCTURE (preset/postset maps) is shared with the package; no search
-or scoring code is reused.  The rule references keep one definition per
-function (``e_sat``, ``e_vio``, ``trigger``, ``vio``, ``rule_cost``) and share
-only the rule dataclasses, the scalar comparison and the attribute lookup;
-``rule_cost`` and the duration variance are summed in exact fractions.  The
-reference decoder replays cases in the dict token game and scores candidates
-with ``e_sat_reference``.  The exception is ``astar_align_reference``: the heap
-A* that the layered alignment search replaced, kept to pin its settle order.
-It walks the package's marking table and shares ``_walk_back``.
+Only net STRUCTURE (the preset/postset place tuples) is shared with the
+package; no search or scoring code is reused.  The rule references keep one
+definition per function (``e_sat``, ``e_vio``, ``trigger``, ``vio``,
+``rule_cost``) and share only the rule dataclasses, the scalar comparison and
+the attribute lookup; ``rule_cost`` and the duration variance are summed in
+exact fractions.  The reference decoder replays cases in the dict token game
+and scores candidates with ``e_sat_reference``.  The reference simulator plays
+the timed token game on per-place lists of ready times with its own enabling
+scan, sharing only the duration default and the step cap.  The exception is
+``astar_align_reference``: the heap A* that the layered alignment search
+replaced, kept to pin its settle order.  It walks the package's marking table
+and shares ``_walk_back``.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from caseweave import (
-    Alignment, BudgetExceeded, Case, Event, EventLog, RuleSet, Transition, UncorrelatedLog,
-    WorkflowNet,
+    Alignment, BudgetExceeded, Case, Event, EventLog, InputError, RuleSet, SimulationConfig,
+    Transition, UncorrelatedLog, WorkflowNet,
 )
 from caseweave.rules import (
     And,
@@ -38,6 +41,7 @@ from caseweave.rules import (
     _attr_value,
     _compare,
 )
+from caseweave.simulate import DEFAULT_DURATION, MAX_STEPS_PER_CASE
 from caseweave.wfnet import MarkingNode, _Parents, _State, _walk_back
 
 
@@ -134,17 +138,17 @@ def brute_force_transport_cost(
 
 
 def _enabled(net: WorkflowNet, marking: dict[str, int], tid: str) -> bool:
-    return all(marking.get(p, 0) >= n for p, n in net.preset[tid].items())
+    return all(marking.get(p, 0) >= 1 for p in net.preset[tid])
 
 
 def _fire(net: WorkflowNet, marking: dict[str, int], tid: str) -> dict[str, int]:
     out = dict(marking)
-    for p, n in net.preset[tid].items():
-        out[p] -= n
+    for p in net.preset[tid]:
+        out[p] -= 1
         if not out[p]:
             del out[p]
-    for p, n in net.postset[tid].items():
-        out[p] = out.get(p, 0) + n
+    for p in net.postset[tid]:
+        out[p] = out.get(p, 0) + 1
     return out
 
 
@@ -328,6 +332,48 @@ def silent_closure_reference(
                 targets[t.label] = _fire(net, current, t.tid)
     final = any(m.get(net.output_place, 0) >= 1 for m in closure)
     return frozenset(targets), final, targets
+
+
+def simulate_case_reference(
+    net: WorkflowNet, config: SimulationConfig, rng: random.Random, start_minute: int
+) -> list[tuple[str, int]]:
+    """The timed token game on per-place lists of ready times, as ``simulate_case``.
+
+    Enabling is a scan over every transition's preset; each arc moves one
+    token, the earliest ready one, taken from a sorted pool.  Candidates,
+    weights and RNG draws follow ``simulate_case`` one for one, and so do its
+    ``InputError`` messages.
+    """
+    tokens: dict[str, list[int]] = {net.input_place: [start_minute]}
+    fired: dict[str, int] = {}
+    events: list[tuple[str, int]] = []
+    for _step in range(MAX_STEPS_PER_CASE):
+        if tokens.get(net.output_place):
+            return sorted(events, key=lambda pair: pair[1])
+        enabled = [t for t in net.transitions if all(tokens.get(p) for p in net.preset[t.tid])]
+        if not enabled:
+            raise InputError("simulation deadlocked before reaching the final marking")
+        fresh = [t for t in enabled if fired.get(t.tid, 0) < config.max_loop]
+        candidates = fresh or enabled
+        weights = [config.branch_weights.get(t.tid, 1.0) for t in candidates]
+        if not any(weights):
+            weights = [1.0] * len(candidates)
+        chosen = rng.choices(candidates, weights=weights, k=1)[0]
+        fired[chosen.tid] = fired.get(chosen.tid, 0) + 1
+        fire_time = start_minute
+        for place in net.preset[chosen.tid]:
+            earliest, *rest = sorted(tokens[place])
+            tokens[place] = rest
+            fire_time = max(fire_time, earliest)
+        if chosen.label is None:
+            ready = fire_time
+        else:
+            mean, jitter = config.durations.get(chosen.label, DEFAULT_DURATION)
+            ready = fire_time + rng.randint(max(1, mean - jitter), mean + jitter)
+            events.append((chosen.label, ready))
+        for place in net.postset[chosen.tid]:
+            tokens.setdefault(place, []).append(ready)
+    raise InputError(f"simulation exceeded {MAX_STEPS_PER_CASE} steps in one case")
 
 
 # --- random structured nets and traces ---------------------------------------

@@ -283,7 +283,7 @@ def test_decoder_case_bookkeeping(demo_net, demo_rules):
     decoder = StreamDecoder(demo_net, demo_rules, random.Random(3))
     decoder.run(stream.events)
     c1 = decoder.cases["c1"]
-    assert c1.closed and c1.marking == {"q4": 1}
+    assert c1.closed and c1.node is demo_net.node({"q4": 1})
     assert [e.index for e in c1.events] == [1, 3, 6]
     assert decoder.cases["c3"].closed or not decoder.cases["c3"].closed  # exists
     assert list(decoder.cases) == ["c1", "c2", "c3"]
@@ -301,7 +301,7 @@ def test_first_event_off_the_net_opens_without_firing(demo_net, demo_rules):
     assignment = decoder.run(stream.events)
     assert assignment == {1: "c1", 2: "c2"}
     # the absorbed B did not move c1 off the initial marking
-    assert decoder.cases["c1"].marking == demo_net.initial_marking()
+    assert decoder.cases["c1"].node is demo_net.node(demo_net.initial_marking())
     assert not decoder.cases["c1"].closed
 
 
@@ -313,7 +313,7 @@ def test_unplayable_events_compete_across_closed_cases(demo_net, demo_rules):
     # after <A, C> the only case is closed; D is absorbed without firing
     assert assignment == {1: "c1", 2: "c1", 3: "c1"}
     assert decoder.cases["c1"].closed
-    assert decoder.cases["c1"].marking == {"q4": 1}
+    assert decoder.cases["c1"].node is demo_net.node({"q4": 1})
     assert rng.choice_calls == 0  # single candidates skip scoring and the rng
 
 
@@ -333,9 +333,9 @@ def test_replay_prefix_rebuilds_markings(demo_net, demo_rules):
     decoder = StreamDecoder(demo_net, demo_rules, random.Random(0))
     replay_prefix(decoder, stream, dict(DEMO_X), cut=6)
     assert decoder.assignment == {i: DEMO_X[i] for i in range(1, 6)}
-    assert decoder.cases["c1"].marking == {"q3": 1}  # A then B
-    assert decoder.cases["c2"].marking == {"q3": 1}
-    assert decoder.cases["c3"].marking == {"q2": 1}  # A only
+    assert decoder.cases["c1"].node is demo_net.node({"q3": 1})  # A then B
+    assert decoder.cases["c2"].node is demo_net.node({"q3": 1})
+    assert decoder.cases["c3"].node is demo_net.node({"q2": 1})  # A only
     for case in decoder.cases.values():
         assert not case.closed
 
@@ -348,7 +348,7 @@ def test_replay_prefix_absorbs_unreachable_activities(demo_net, demo_rules):
     c1 = decoder.cases["c1"]
     assert len(c1.events) == 5
     # A fires, the second A is absorbed, B fires, A absorbed, B loops back
-    assert c1.marking == {"q3": 1}
+    assert c1.node is demo_net.node({"q3": 1})
 
 
 # --- energies ----------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from caseweave import (
     InputError,
     SimulationConfig,
+    Transition,
+    WorkflowNet,
     elapsed_time,
     estimate_cycle_time,
     log_alignment_cost,
@@ -15,7 +17,8 @@ from caseweave import (
     simulate_log,
 )
 
-from conftest import make_demo_net, make_loop_net
+from conftest import make_demo_net, make_loop_net, seeded_rng
+from oracles import random_structured_net, simulate_case_reference
 
 EXACT_DEMO = SimulationConfig(
     cases=6,
@@ -112,6 +115,12 @@ def test_weight_validation(loop_net):
         simulate_log(
             loop_net, SimulationConfig(branch_weights={"t2": 0.6, "t3": 0.6})
         )
+    # -1 and 2 sum to 1, NaN and inf would reach random.choices: none is a probability
+    for bad in (-1.0, math.nan, math.inf):
+        weights = {"t2": bad, "t3": 2.0 if bad == -1.0 else 0.5}
+        message = f"branch weight for t2 must be finite and >= 0, got {bad}"
+        with pytest.raises(InputError, match=message):
+            simulate_log(loop_net, SimulationConfig(branch_weights=weights))
 
 
 def test_config_validation(demo_net):
@@ -120,10 +129,12 @@ def test_config_validation(demo_net):
     for inter_arrival in (0.0, math.nan, math.inf):
         with pytest.raises(InputError, match="inter_arrival"):
             simulate_log(demo_net, SimulationConfig(inter_arrival=inter_arrival))
-    with pytest.raises(InputError):
-        simulate_log(demo_net, SimulationConfig(durations={"A": (0, 0)}))
-    with pytest.raises(InputError):
-        simulate_log(demo_net, SimulationConfig(durations={"A": (10, -1)}))
+    # checked before the first run, though A fires in every case and D in few
+    for activity, bounds in [("A", (0, 0)), ("A", (10, -1)), ("D", (0, 5)), ("D", (math.nan, 0))]:
+        with pytest.raises(InputError, match=f"duration for {activity!r} must be whole minutes"):
+            simulate_log(demo_net, SimulationConfig(durations={activity: bounds}))
+    with pytest.raises(InputError, match=r"activities the net does not label: \['Zzz'\]"):
+        simulate_log(demo_net, SimulationConfig(durations={"Zzz": (5, 0)}))
 
 
 def test_simulation_rejects_malformed_nets():
@@ -144,3 +155,82 @@ def test_simulate_case_reports_events_in_completion_order(loop_net):
     assert minutes == sorted(minutes)
     assert all(minute > 100 for minute in minutes)
     assert events[0][0] == "A"
+
+
+def _same_as_the_reference(net, config, seed, start):
+    """simulate_case's events, or None after the same InputError as the reference's."""
+    try:
+        want = simulate_case_reference(net, config, random.Random(seed), start)
+    except InputError as exc:
+        with pytest.raises(InputError) as raised:
+            simulate_case(net, config, random.Random(seed), start)
+        assert str(raised.value) == str(exc)
+        return None
+    got = simulate_case(net, config, random.Random(seed), start)
+    assert got == want
+    return got
+
+
+def test_simulate_case_matches_the_reference_on_random_nets():
+    finished = 0
+    for trial in range(320):
+        rng = seeded_rng("simulate-reference", trial)
+        net = random_structured_net(rng)
+        config = SimulationConfig(
+            max_loop=rng.randint(0, 3),
+            # zero weights reach the all-capped and all-zero fallbacks
+            branch_weights={
+                t.tid: rng.choice((0.0, 1.0, rng.uniform(0.0, 3.0)))
+                for t in net.transitions
+                if rng.random() < 0.5
+            },
+            # jitter above the mean reaches the one-minute floor
+            durations={
+                label: (rng.randint(1, 30), rng.randint(0, 40))
+                for label in sorted(net.labels)
+                if rng.random() < 0.5
+            },
+        )
+        for _run in range(3):
+            events = _same_as_the_reference(
+                net, config, rng.getrandbits(32), rng.randint(0, 500)
+            )
+            finished += events is not None
+    assert finished >= 900
+
+
+def test_simulate_case_takes_the_earliest_of_two_ready_tokens():
+    # S forks to A and B, which both feed m; C takes one token of m, D the other
+    net = WorkflowNet(
+        places=["i", "p1", "p2", "m", "n", "o"],
+        transitions=[Transition(t, t) for t in "SABCD"],
+        arcs=[
+            ("i", "S"), ("S", "p1"), ("S", "p2"), ("p1", "A"), ("A", "m"), ("p2", "B"),
+            ("B", "m"), ("m", "C"), ("C", "n"), ("m", "D"), ("n", "D"), ("D", "o"),
+        ],
+    )
+    # C waits until it is the only candidate, so m holds A's and B's tokens then
+    config = SimulationConfig(
+        durations={"S": (1, 0), "A": (10, 0), "B": (50, 0), "C": (5, 0), "D": (7, 0)},
+        branch_weights={"C": 0.0},
+    )
+    for seed in range(8):
+        events = _same_as_the_reference(net, config, seed, 100)
+        # C starts on A's token at 111, D on B's at 151
+        assert events == [("S", 101), ("A", 111), ("C", 116), ("B", 151), ("D", 158)]
+
+
+def test_simulate_case_deadlocks_as_the_reference_does():
+    # X leads to q, whose silent V strands the token in r; Y finishes
+    net = WorkflowNet(
+        places=["i", "p", "q", "r", "o"],
+        transitions=[Transition("S", "S"), Transition("X", "X"), Transition("V", None),
+                     Transition("Z", "Z"), Transition("Y", "Y")],
+        arcs=[
+            ("i", "S"), ("S", "p"), ("p", "X"), ("X", "q"), ("q", "V"), ("V", "r"),
+            ("q", "Z"), ("r", "Z"), ("Z", "o"), ("p", "Y"), ("Y", "o"),
+        ],
+    )
+    outcomes = [_same_as_the_reference(net, SimulationConfig(), seed, 0) for seed in range(20)]
+    assert None in outcomes
+    assert any(events is not None and [a for a, _m in events] == ["S", "Y"] for events in outcomes)
