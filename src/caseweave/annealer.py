@@ -56,6 +56,7 @@ from .wfnet import (
     BudgetExceeded,
     MarkingNode,
     WorkflowNet,
+    align_trace,
     enabled_activities,  # noqa: F401  re-exported: part of this module's namespace
     infer_start_activity,
 )
@@ -397,6 +398,11 @@ def evaluate_individual(
     cases whose events differ from ``current``'s are evaluated, and the totals
     are ``current``'s minus their old contributions plus their new ones.  Both
     ways give exactly the same totals.
+
+    With a ``cache``, each changed case's alignment cost is looked up there.
+    A call without a cache searches every trace with :func:`align_trace`,
+    with no memo and no replay; that is how ``debug_recompute`` checks the
+    cache's answers.
     """
     config = config or AnnealerConfig()
     if current is None or current.cases is None:
@@ -409,7 +415,6 @@ def evaluate_individual(
         cases = dict(current.cases)
         fa, violations, durations = current.fa, current.violations, dict(current.durations)
         changed = _changed_cases(stream, current.assignment, current.cases, assignment)
-    aligner = cache if cache is not None else AlignmentCache()
     scale = violation_scale(rules)
     for case_id, events in changed.items():
         old = cases.pop(case_id, None)
@@ -418,11 +423,12 @@ def evaluate_individual(
             violations -= violation_share(old.verdicts, scale)
             _add_durations(durations, old.durations, -1)
         if events:
+            trace = tuple([e.activity for e in events])
             new = cases[case_id] = CaseEnergy(
                 tuple([e.index for e in events]),
-                aligner.get_or_compute(
-                    net, tuple([e.activity for e in events]), config.state_budget
-                ).cost,
+                cache.get_or_compute(net, trace, config.state_budget)
+                if cache is not None
+                else align_trace(net, trace, config.state_budget).cost,
                 case_verdicts(rules, events, verdicts),
                 _case_durations(events),
             )
@@ -434,7 +440,7 @@ def evaluate_individual(
         cases, violations, durations,
     )
     if config.debug_recompute and any(x is not None for x in (cache, verdicts, current)):
-        # from scratch, with no alignment or verdict memo: every total must match exactly
+        # from scratch, with no memo and every trace searched: every total must match exactly
         fresh = evaluate_individual(stream, assignment, net, rules, None, config)
         got, want = (
             (x.energies, x.violations, x.durations) for x in (individual, fresh)
@@ -552,7 +558,7 @@ def run(
     config = config or AnnealerConfig()
     config.validate()
     start_activity = infer_start_activity(net, config.marking_budget)
-    cache = AlignmentCache()
+    cache = AlignmentCache(config.marking_budget)
     verdicts: dict[tuple[int, ...], tuple[int, int]] = {}  # case_verdicts' memo, one per run
     master = random.Random(config.seed)
     rngs = [random.Random(master.getrandbits(64)) for _ in range(config.population)]

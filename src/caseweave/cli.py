@@ -179,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max markings per silent-closure search and in the model's"
                    " reachability check")
     p.add_argument("--state-budget", type=int, default=defaults.state_budget,
-                   help="max states per alignment search")
+                   help="max states per alignment search; a trace that replays on the"
+                   " model costs 0 without a search")
     add_timestamp_format(p)
     p.set_defaults(func=_cmd_correlate)
 

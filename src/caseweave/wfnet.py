@@ -27,6 +27,14 @@ layer from the settled states' cost-1 moves in settle order, in the style of
 Dial's bucket queue.  This reproduces A*'s ``(f, g, push order)`` without a
 heap, and a fitting trace is answered inside the first layer.  The
 ``state_budget`` counts each settled state once.
+
+The annealer needs only each trace's cost, so :class:`AlignmentCache` memoises
+trace -> cost.  Before it searches, it replays the trace as the decoder does,
+one ``MarkingNode.moves`` lookup per symbol; a replay that ends in a final node
+is a firing sequence projecting onto the trace, so the trace costs 0 with no
+search (token replay, as in Rozinat & van der Aalst, Information Systems
+33(1), 2008).  The replay commits to one silent prefix per symbol, so it may
+miss a fitting trace; that trace is then searched.
 """
 
 from __future__ import annotations
@@ -484,44 +492,72 @@ def _walk_back(parent: _Parents, state: _State, trace: tuple[str, ...]) -> tuple
     return tuple(reversed(moves))
 
 
-class AlignmentCache:
-    """Trace -> Alignment memo for one net, which also remembers budget failures.
+def _replays(net: WorkflowNet, trace: tuple[str, ...], marking_budget: int) -> bool:
+    """True when the decoder's own replay fires ``trace`` to a final marking.
 
-    A trace whose search ran out of budget is not searched again under a budget
-    no larger than that one: the call raises a fresh BudgetExceeded carrying
-    the failure's message.
+    Each symbol takes the node that ``MarkingNode.moves`` gives for it, behind
+    a silent prefix and a transition with that label, so the lookups are a
+    firing sequence whose visible labels are ``trace``.  A True answer proves
+    cost 0.  A False one proves nothing, because the replay commits to one
+    silent prefix per symbol; a closure over ``marking_budget`` also answers
+    False.
+    """
+    node = net.node(net.initial_marking())
+    try:
+        for symbol in trace:
+            node = node.moves(marking_budget).get(symbol)
+            if node is None:
+                return False
+        return node.final(marking_budget)
+    except BudgetExceeded:
+        return False
+
+
+class AlignmentCache:
+    """Trace -> alignment cost memo for one net, which also remembers budget failures.
+
+    A trace the decoder's deterministic replay fires to a final marking costs
+    0 with no search; any other trace, and any whose replay needs a silent
+    closure over ``marking_budget``, is searched by :func:`align_trace` under
+    the call's ``state_budget``.  A trace whose search ran out of budget is
+    not searched again under a budget no larger than that one: the call
+    raises a fresh BudgetExceeded carrying the failure's message.
     """
 
-    def __init__(self) -> None:
-        self._data: dict[tuple[str, ...], Alignment] = {}
+    def __init__(self, marking_budget: int = DEFAULT_MARKING_BUDGET) -> None:
+        self.marking_budget = marking_budget
+        self._costs: dict[tuple[str, ...], int] = {}
         # trace -> (largest budget it failed under, that failure's message)
         self._failed: dict[tuple[str, ...], tuple[int, str]] = {}
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._costs)
 
     def get_or_compute(
         self,
         net: WorkflowNet,
         trace: Sequence[str],
         state_budget: int = DEFAULT_STATE_BUDGET,
-    ) -> Alignment:
+    ) -> int:
         key = tuple(trace)
-        hit = self._data.get(key)
-        if hit is not None:
-            return hit
+        cost = self._costs.get(key)
+        if cost is not None:
+            return cost
         failed = self._failed.get(key)
         if failed is not None and state_budget <= failed[0]:
             # the search order does not depend on the budget, so it would fail again
             raise BudgetExceeded(failed[1])
-        try:
-            result = align_trace(net, key, state_budget)
-        except BudgetExceeded as exc:
-            # a budget above any recorded failure, so this keeps the largest
-            self._failed[key] = (state_budget, str(exc))
-            raise
-        self._data[key] = result
-        return result
+        if _replays(net, key, self.marking_budget):
+            cost = 0
+        else:
+            try:
+                cost = align_trace(net, key, state_budget).cost
+            except BudgetExceeded as exc:
+                # a budget above any recorded failure, so this keeps the largest
+                self._failed[key] = (state_budget, str(exc))
+                raise
+        self._costs[key] = cost
+        return cost
 
 
 def log_alignment_cost(
@@ -533,4 +569,4 @@ def log_alignment_cost(
     """Sum of per-case alignment costs; BudgetExceeded propagates."""
     if cache is None:
         cache = AlignmentCache()
-    return sum(cache.get_or_compute(net, c.trace, state_budget).cost for c in log.cases)
+    return sum(cache.get_or_compute(net, c.trace, state_budget) for c in log.cases)

@@ -391,6 +391,19 @@ def test_debug_recompute_accepts_consistent_caches(demo_net, demo_rules):
     assert individual.fa == 1
 
 
+def test_debug_recompute_checks_the_replay_witness_against_the_search(
+    demo_net, demo_rules, monkeypatch
+):
+    stream = make_demo_stream()
+    config = AnnealerConfig(debug_recompute=True)
+    # c3 = <A, D> does not replay; a witness that accepts it reads cost 0
+    monkeypatch.setattr(wfnet_module, "_replays", lambda net, trace, budget: True)
+    lied = evaluate_individual(stream, dict(DEMO_X), demo_net, demo_rules, AlignmentCache())
+    assert lied.fa == 0
+    with pytest.raises(AssertionError, match="recomputed"):
+        evaluate_individual(stream, dict(DEMO_X), demo_net, demo_rules, AlignmentCache(), config)
+
+
 def test_debug_recompute_checks_the_rule_verdict_memo(demo_net, demo_rules):
     stream = make_demo_stream()
     config = AnnealerConfig(debug_recompute=True)

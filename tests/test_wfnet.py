@@ -491,7 +491,7 @@ def test_alignment_cache_computes_each_trace_once(demo_net):
     cache = AlignmentCache()
     first = cache.get_or_compute(demo_net, ("A", "B", "C"))
     again = cache.get_or_compute(demo_net, ("A", "B", "C"))
-    assert first is again
+    assert first == again == 0
     assert len(cache) == 1
     cache.get_or_compute(demo_net, ("A", "D"))
     assert len(cache) == 2
@@ -511,35 +511,81 @@ def _count_searches(monkeypatch) -> list[int]:
 
 
 def test_alignment_cache_searches_a_failed_trace_once(demo_net, monkeypatch):
-    # ("A", "B", "C") settles 5 states before its alignment is found
+    # ("A", "D") does not replay, and its search settles 8 states before its
+    # alignment is found
     searches = _count_searches(monkeypatch)
     cache = AlignmentCache()
     with pytest.raises(BudgetExceeded) as first:
-        cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=3)
+        cache.get_or_compute(demo_net, ("A", "D"), state_budget=7)
     with pytest.raises(BudgetExceeded) as again:
-        cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=3)
+        cache.get_or_compute(demo_net, ("A", "D"), state_budget=7)
     with pytest.raises(BudgetExceeded) as smaller:
-        cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=2)
-    assert searches == [3]
+        cache.get_or_compute(demo_net, ("A", "D"), state_budget=2)
+    assert searches == [7]
     # fresh exceptions, so no traceback grows across raises
     assert again.value is not first.value and smaller.value is not first.value
     assert str(again.value) == str(smaller.value) == str(first.value)
-    assert len(cache) == 0  # failures are not alignments
+    assert len(cache) == 0  # failures are not costs
 
 
 def test_alignment_cache_searches_again_under_a_larger_budget(demo_net, monkeypatch):
     searches = _count_searches(monkeypatch)
     cache = AlignmentCache()
     with pytest.raises(BudgetExceeded):
-        cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=2)
+        cache.get_or_compute(demo_net, ("A", "D"), state_budget=4)
     with pytest.raises(BudgetExceeded):
-        cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=4)
+        cache.get_or_compute(demo_net, ("A", "D"), state_budget=7)
     with pytest.raises(BudgetExceeded):
-        cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=3)
-    assert cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=5).cost == 0
-    assert cache.get_or_compute(demo_net, ("A", "B", "C"), state_budget=1).cost == 0
-    assert searches == [2, 4, 5]
+        cache.get_or_compute(demo_net, ("A", "D"), state_budget=5)
+    assert cache.get_or_compute(demo_net, ("A", "D"), state_budget=8) == 1
+    assert cache.get_or_compute(demo_net, ("A", "D"), state_budget=1) == 1
+    assert searches == [4, 7, 8]
     assert len(cache) == 1
+
+
+def test_the_replay_witness_proves_only_zero_costs(monkeypatch):
+    # A trace the cache answers without a search was witnessed by replay: its
+    # brute-force cost must be 0.  Witnessed or searched, every cost must equal
+    # the reference search's.
+    searches = _count_searches(monkeypatch)
+    witnessed = proved = 0
+    for trial in range(150):
+        rng = seeded_rng("wfnet-witness", trial)
+        net = random_structured_net(rng)
+        traces = [tuple(sample_run_projection(net, rng)) for _ in range(3)]
+        traces += [random_trace(net, rng) for _ in range(3)]
+        for trace in traces:
+            before = len(searches)
+            cost = AlignmentCache().get_or_compute(net, trace)
+            want = astar_align_reference(net, trace, wfnet_module.DEFAULT_STATE_BUDGET)
+            assert cost == want.cost, (trial, trace)
+            if len(searches) == before:
+                witnessed += 1
+                try:
+                    assert brute_force_alignment_cost(net, trace, 2_000) == 0, (trial, trace)
+                except OracleBudget:
+                    continue
+                proved += 1
+    assert witnessed >= 450  # 529
+    assert proved >= 450  # 504
+
+
+def test_a_closure_over_the_marking_budget_falls_back_to_the_search(monkeypatch):
+    searches = _count_searches(monkeypatch)
+    net = make_silent_chain(30)  # Z sits behind 30 silent steps
+    # the replay's closure needs 31 markings, so the search answers instead
+    assert AlignmentCache(marking_budget=5).get_or_compute(net, ("Z",)) == 0
+    assert len(searches) == 1
+    assert AlignmentCache().get_or_compute(net, ("Z",)) == 0
+    assert len(searches) == 1
+
+
+def test_a_replayed_trace_needs_no_state_budget(demo_net, monkeypatch):
+    searches = _count_searches(monkeypatch)
+    assert AlignmentCache().get_or_compute(demo_net, ("A", "B", "C"), state_budget=1) == 0
+    assert searches == []
+    with pytest.raises(BudgetExceeded):  # the search itself settles 5 states
+        align_trace(demo_net, ("A", "B", "C"), state_budget=1)
 
 
 def test_alignment_cache_is_thread_consistent(loop_net):
@@ -547,7 +593,7 @@ def test_alignment_cache_is_thread_consistent(loop_net):
     serial = [align_trace(loop_net, t).cost for t in traces]
     cache = AlignmentCache()
     with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda t: cache.get_or_compute(loop_net, t).cost, traces))
+        parallel = list(pool.map(lambda t: cache.get_or_compute(loop_net, t), traces))
     assert parallel == serial
 
 
