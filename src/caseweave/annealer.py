@@ -11,19 +11,24 @@ every case ever opened; ``StreamDecoder._advance`` is the one place that keeps
 that index in step with the cases' ``closed`` flags.
 
 The annealer keeps a population of candidate correlations.  A neighbor keeps a
-prefix of the stream's assignments, replays it to rebuild case markings, and
-re-decodes the suffix; the cut point is drawn closer to the end of the stream
-as the level rises.  Candidates are compared lexicographically on the energy
-triple (alignment cost fa, rule cost fr, duration variance ft); a worse
-candidate is still adopted with probability exp(-delta/tau) under a
-logarithmic cooling schedule.  The best individual ever seen is tracked
-separately and never regresses.
+prefix of the stream's assignments and re-decodes the suffix; the cut point is
+drawn closer to the end of the stream as the level rises.  The prefix is
+restored, not replayed: an individual keeps its decoder's case runs, and a case
+whose events all precede the cut takes its marking from there.  That marking
+is what a replay of the case's events would rebuild, except where the decoder
+absorbed an event that a replay would fire; only such a case, and a case that
+straddles the cut, is replayed from its events.  Candidates are compared
+lexicographically on the energy triple (alignment cost fa, rule cost fr,
+duration variance ft); a worse candidate is still adopted with probability
+exp(-delta/tau) under a logarithmic cooling schedule.  The best individual ever
+seen is tracked separately and never regresses.
 
 Energies are kept by delta.  Each individual keeps every case's contributions:
 the alignment cost of its trace, its (triggered, violated) rule counts, and the
 elapsed minutes of its non-first events.  A case is changed exactly when its
 set of events differs between two assignments, so the changed cases are the
-case ids of the pairs found in one assignment but not the other.  A
+case ids of the events assigned differently; a neighbour keeps its parent's
+assignment before the cut, so only the suffix is compared.  A
 candidate's totals are its parent's, minus the old contributions of the
 changed cases, plus their new ones; evaluating from scratch is the same code
 with every case changed.  The totals are integers: ``fa`` itself, the cases'
@@ -38,6 +43,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import Event, EventLog, InputError, UncorrelatedLog, correlate
@@ -107,6 +113,10 @@ class Individual:
     ``durations``, the cases' duration statistics summed per activity.  ``fr``
     and ``ft`` are those totals rounded to a float once.  An individual built
     by hand has ``cases`` None.
+
+    An individual evaluated from a decoder's :class:`Proposal` also keeps that
+    decoder's ``runs``, which :func:`replay_prefix` restores a neighbour's
+    prefix from; any other has ``runs`` None and is replayed.
     """
 
     log: EventLog
@@ -116,6 +126,7 @@ class Individual:
     cases: Mapping[str, CaseEnergy] | None = field(default=None, repr=False, compare=False)
     violations: int = field(default=0, repr=False, compare=False)
     durations: DurationStats = field(default_factory=dict, repr=False, compare=False)
+    runs: Mapping[str, CaseRun] | None = field(default=None, repr=False, compare=False)
 
     @property
     def assignment(self) -> Mapping[int, str]:
@@ -150,12 +161,35 @@ class AnnealerResult:
 
 @dataclass
 class CaseRun:
-    """Mutable per-case decoder state."""
+    """Mutable per-case decoder state.
+
+    ``node`` and ``closed`` are the case's replay state, what
+    :func:`replay_prefix` rebuilds from its events, unless ``diverged``: the
+    decoder absorbed one of its events where a replay would have moved it.
+    """
 
     case_id: str
     node: MarkingNode
     events: list[Event] = field(default_factory=list)
     closed: bool = False
+    diverged: bool = False
+
+
+class Proposal(dict[int, str]):
+    """A decoder's assignment, event index -> case id in stream order.
+
+    ``runs`` are the decoder's cases by id.  ``cut`` is the first event the
+    decoder decoded itself: a neighbour's events before it keep the case ids
+    of the individual it was restored from, so :func:`evaluate_individual`,
+    given that individual, compares the two only from ``cut`` on.
+    """
+
+    __slots__ = ("runs", "cut")
+
+    def __init__(self, runs: Mapping[str, CaseRun]) -> None:
+        super().__init__()
+        self.runs = runs
+        self.cut = 1
 
 
 class StreamDecoder:
@@ -164,6 +198,9 @@ class StreamDecoder:
     ``open_runs`` indexes the open cases: it holds exactly the runs of
     ``order`` whose ``closed`` is False, in opening order.  ``open_case`` adds
     to it and ``_advance`` keeps it in step; nothing else changes ``closed``.
+    A restore by :func:`replay_prefix` builds runs and the index afresh.
+
+    ``assignment`` is a :class:`Proposal` whose ``runs`` are ``cases``.
 
     The decoder also counts how its ``step`` calls ended: ``opened`` a case,
     ``fitted`` an open case, or were absorbed as ``deviations`` (these three sum
@@ -191,7 +228,7 @@ class StreamDecoder:
         self.cases: dict[str, CaseRun] = {}
         self.order: list[CaseRun] = []
         self.open_runs: dict[str, CaseRun] = {}
-        self.assignment: dict[int, str] = {}
+        self.assignment = Proposal(self.cases)
         self.opened = self.fitted = self.deviations = self.ties_drawn = self.scanned = 0
 
     def open_case(self, case_id: str | None = None) -> CaseRun:
@@ -272,14 +309,18 @@ class StreamDecoder:
                 # winner absorbs the event without moving its marking.
                 self.deviations += 1
                 chosen = self._pick(self.order, event)
+                # only a closed winner can enable it; its closure is walked, so this cannot raise
+                if chosen.closed and event.activity in chosen.node.moves(budget):
+                    chosen.diverged = True
             else:
                 self.opened += 1
                 chosen = self.open_case()
+                chosen.diverged = True  # a replay would fire the event if the net enables it
         chosen.events.append(event)
         self.assignment[event.index] = chosen.case_id
         return chosen.case_id
 
-    def run(self, events: Iterable[Event]) -> dict[int, str]:
+    def run(self, events: Iterable[Event]) -> Proposal:
         for event in events:
             self.step(event)
         return self.assignment
@@ -288,23 +329,56 @@ class StreamDecoder:
 def replay_prefix(
     decoder: StreamDecoder,
     stream: UncorrelatedLog,
-    assignment: dict[int, str],
+    prefix: Individual | Mapping[int, str],
     cut: int,
 ) -> None:
-    """Load events before 1-based ``cut`` into ``decoder`` with fixed case ids.
+    """Load events before 1-based ``cut`` into ``decoder`` with the case ids of ``prefix``.
 
-    Markings are rebuilt by replay: an event whose activity is reachable from
-    its case's marking fires through the shortest silent prefix, anything else
+    Markings follow replay: an event whose activity is reachable from its
+    case's marking fires through the shortest silent prefix, anything else
     leaves the marking unchanged (same reading as decoder scenario 3).
+
+    An individual that keeps its decoder's runs is restored, not replayed:
+    its cases come in order of first event, each case whose events all
+    precede ``cut`` takes its run's marking, and only a case that straddles
+    ``cut`` or diverged is replayed from its events.  So the restore raises
+    BudgetExceeded exactly when the replay would.  An assignment, or an
+    individual without runs, is replayed event by event; that replay is the
+    reference the restore is checked against.  Given an individual, the
+    decoder's proposal records ``cut``: it agrees with that individual before it.
     """
-    for event in stream.events[: cut - 1]:
-        case_id = assignment[event.index]
-        run = decoder.cases.get(case_id)
-        if run is None:
+    if isinstance(prefix, Individual):
+        runs, assignment = prefix.runs, prefix.assignment
+        decoder.assignment.cut = cut
+    else:
+        runs, assignment = None, prefix
+    if runs is None:
+        for event in stream.events[: cut - 1]:
+            case_id = assignment[event.index]
+            run = decoder.cases.get(case_id)
+            if run is None:
+                run = decoder.open_case(case_id)
+            decoder._advance(run, event.activity)
+            run.events.append(event)
+            decoder.assignment[event.index] = case_id
+        return
+    cases, order = decoder.cases, decoder.order
+    for kept in runs.values():  # in opening order, which is the order of first events
+        if kept.events[0].index >= cut:
+            break
+        case_id = kept.case_id
+        if kept.diverged or kept.events[-1].index >= cut:
             run = decoder.open_case(case_id)
-        decoder._advance(run, event.activity)
-        run.events.append(event)
-        decoder.assignment[event.index] = case_id
+            for event in kept.events:
+                if event.index >= cut:
+                    break
+                decoder._advance(run, event.activity)
+                run.events.append(event)
+        else:
+            run = cases[case_id] = CaseRun(case_id, kept.node, kept.events.copy(), kept.closed)
+            order.append(run)
+    decoder.open_runs = {run.case_id: run for run in order if not run.closed}
+    decoder.assignment.update(islice(assignment.items(), cut - 1))
 
 
 def _case_durations(events: Sequence[Event]) -> Durations:
@@ -358,18 +432,23 @@ def _changed_cases(
     before: Mapping[int, str],
     cases: Mapping[str, CaseEnergy],
     assignment: Mapping[int, str],
+    cut: int,
 ) -> dict[str, tuple[Event, ...]]:
     """New events of each case whose set of events differs between two assignments.
 
-    Those cases are exactly the case ids of the pairs that are in one
-    assignment but not the other.  ``cases`` holds the cases of ``before``; a
-    case that is gone gets no events.
+    The assignments agree on the events before 1-based ``cut``.  The changed
+    cases are exactly the old and new case ids of the events they assign
+    differently.  ``cases`` holds the cases of ``before``; a case that is gone
+    gets no events.
     """
     gained: dict[str, list[int]] = {}
-    for index, case_id in assignment.items() ^ before.items():
-        indices = gained.setdefault(case_id, [])
-        if assignment.get(index) == case_id:
-            indices.append(index)
+    suffix = range(cut, len(stream) + 1)
+    for index, case_id, old_id in zip(
+        suffix, map(assignment.__getitem__, suffix), map(before.__getitem__, suffix)
+    ):
+        if case_id != old_id:
+            gained.setdefault(case_id, []).append(index)
+            gained.setdefault(old_id, [])
     events = stream.events
     changed = {}
     for case_id, indices in gained.items():
@@ -397,7 +476,10 @@ def evaluate_individual(
     ``assignment`` must be such a partition, as the decoder's are: only the
     cases whose events differ from ``current``'s are evaluated, and the totals
     are ``current``'s minus their old contributions plus their new ones.  Both
-    ways give exactly the same totals.
+    ways give exactly the same totals.  A :class:`Proposal` from
+    :func:`neighbor` must be given the individual it was proposed from: the
+    two are compared only from the proposal's ``cut`` on.  The individual
+    keeps a proposal's ``runs``.
 
     With a ``cache``, each changed case's alignment cost is looked up there.
     A call without a cache searches every trace with :func:`align_trace`,
@@ -405,6 +487,7 @@ def evaluate_individual(
     cache's answers.
     """
     config = config or AnnealerConfig()
+    runs, cut = (assignment.runs, assignment.cut) if isinstance(assignment, Proposal) else (None, 1)
     if current is None or current.cases is None:
         log = correlate(stream, assignment)
         cases: dict[str, CaseEnergy] = {}
@@ -414,7 +497,7 @@ def evaluate_individual(
         log = EventLog(base=stream, assignment=assignment)  # unchecked; cases built on demand
         cases = dict(current.cases)
         fa, violations, durations = current.fa, current.violations, dict(current.durations)
-        changed = _changed_cases(stream, current.assignment, current.cases, assignment)
+        changed = _changed_cases(stream, current.assignment, current.cases, assignment, cut)
     scale = violation_scale(rules)
     for case_id, events in changed.items():
         old = cases.pop(case_id, None)
@@ -437,7 +520,7 @@ def evaluate_individual(
             _add_durations(durations, new.durations, 1)
     individual = Individual(
         log, fa, mean_violation(violations, scale, len(cases)), _variance(durations),
-        cases, violations, durations,
+        cases, violations, durations, runs,
     )
     if config.debug_recompute and any(x is not None for x in (cache, verdicts, current)):
         # from scratch, with no memo and every trace searched: every total must match exactly
@@ -476,20 +559,75 @@ def neighbor(
     rng: random.Random,
     config: AnnealerConfig,
     start_activity: str | None = None,
-) -> dict[int, str]:
+) -> Proposal:
     """Propose a new assignment by re-decoding a random suffix.
 
     The cut point is uniform on [floor(n * (s_curr - 1) / s_max) + 1, n], so
     early levels may rebuild everything and late levels only touch the tail.
+    The prefix is restored from ``current`` by :func:`replay_prefix`.  With
+    ``debug_recompute``, the restored decoder is checked against a replay of
+    ``current``'s assignment into a second decoder.
     """
     n = len(stream)
     low = (n * (s_curr - 1)) // config.s_max + 1
     cut = rng.randint(low, n)
     decoder = StreamDecoder(net, rules, rng, start_activity, config.marking_budget)
-    replay_prefix(decoder, stream, current.assignment, cut)
+    if config.debug_recompute:
+        _restore_checked(decoder, net, rules, stream, current, cut)
+    else:
+        replay_prefix(decoder, stream, current, cut)
     for event in stream.events[cut - 1 :]:
         decoder.step(event)
     return decoder.assignment
+
+
+def _decoder_state(decoder: StreamDecoder) -> tuple:
+    """Each run's id, node, closed flag and events in opening order, the ids of
+    the open-case index, and the assignment's items in order.
+
+    Nodes compare by identity.  The case and open-case indexes must hold the
+    very runs of ``order``, or this raises AssertionError.
+    """
+    cases, runs = decoder.cases, decoder.order
+    if len(cases) != len(runs) or any(cases.get(run.case_id) is not run for run in runs) or any(
+        cases.get(case_id) is not run for case_id, run in decoder.open_runs.items()
+    ):
+        raise AssertionError("the decoder's case indexes do not hold its runs")
+    return (
+        [(run.case_id, run.node, run.closed, run.events) for run in runs],
+        list(decoder.open_runs),
+        list(decoder.assignment.items()),
+    )
+
+
+def _restore_checked(
+    decoder: StreamDecoder,
+    net: WorkflowNet,
+    rules: RuleSet,
+    stream: UncorrelatedLog,
+    current: Individual,
+    cut: int,
+) -> None:
+    """:func:`replay_prefix` from ``current``, checked against a replay of its assignment.
+
+    The two decoders must hold the same state, or both run out of marking
+    budget; anything else raises AssertionError.
+    """
+    replayed = StreamDecoder(
+        net, rules, decoder.rng, decoder.start_activity, decoder.marking_budget
+    )
+    outcomes: list[tuple | BudgetExceeded] = []
+    for target, prefix in ((decoder, current), (replayed, current.assignment)):
+        try:
+            replay_prefix(target, stream, prefix, cut)
+            outcomes.append(_decoder_state(target))
+        except BudgetExceeded as exc:
+            outcomes.append(exc)
+    restored, want = outcomes
+    if isinstance(restored, BudgetExceeded) and isinstance(want, BudgetExceeded):
+        raise restored
+    if restored != want:  # a state never equals an exception
+        raise AssertionError(f"prefix to {cut}: the restored decoder differs from the replayed one")
 
 
 def delta_cost(current: Individual, candidate: Individual) -> float:

@@ -93,12 +93,10 @@ def build_uncorrelated_log(
         staged.append((timestamp, pos, activity, dict(attributes or {})))
     if not staged:
         raise InputError("empty log")
-    staged.sort(key=lambda item: (item[0], item[1]))
-    events = tuple(
-        Event(index=i, activity=act, timestamp=ts, attributes=attrs)
-        for i, (ts, _pos, act, attrs) in enumerate(staged, start=1)
+    staged.sort()  # the positions are unique, so no tuple is compared past its position
+    return UncorrelatedLog(
+        tuple([Event(i, act, ts, attrs) for i, (ts, _pos, act, attrs) in enumerate(staged, 1)])
     )
-    return UncorrelatedLog(events=events)
 
 
 @dataclass(frozen=True)

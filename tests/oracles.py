@@ -15,7 +15,9 @@ the timed token game on per-place lists of ready times with its own enabling
 scan, sharing only the duration default and the step cap.  The exception is
 ``astar_align_reference``: the heap A* that the layered alignment search
 replaced, kept to pin its settle order.  It walks the package's marking table
-and shares ``_walk_back``.
+and shares ``_walk_back``.  ``build_uncorrelated_log_reference`` is the stream
+builder as it was before it sorted without a key, kept to pin its events and
+its errors.
 """
 
 from __future__ import annotations
@@ -332,6 +334,33 @@ def silent_closure_reference(
                 targets[t.label] = _fire(net, current, t.tid)
     final = any(m.get(net.output_place, 0) >= 1 for m in closure)
     return frozenset(targets), final, targets
+
+
+def build_uncorrelated_log_reference(records) -> UncorrelatedLog:
+    """Stably sort (activity, timestamp, attributes) records by timestamp and index them 1..n.
+
+    A record that does not unpack, a missing or non-string activity, and a
+    timestamp that is not an int (or is a bool) raise InputError naming the
+    first such record; no record at all raises "empty log".
+    """
+    staged = []
+    for pos, record in enumerate(records, start=1):
+        try:
+            activity, timestamp, attributes = record
+        except (TypeError, ValueError):
+            raise InputError(f"record {pos}: expected (activity, timestamp, attributes)")
+        if not activity or not isinstance(activity, str):
+            raise InputError(f"record {pos}: missing activity")
+        if isinstance(timestamp, bool) or not isinstance(timestamp, int):
+            raise InputError(f"record {pos}: timestamp must be an integer minute")
+        staged.append((timestamp, pos, activity, dict(attributes or {})))
+    if not staged:
+        raise InputError("empty log")
+    staged.sort(key=lambda item: (item[0], item[1]))
+    return UncorrelatedLog(tuple(
+        Event(index=i, activity=act, timestamp=ts, attributes=attrs)
+        for i, (ts, _pos, act, attrs) in enumerate(staged, start=1)
+    ))
 
 
 def simulate_case_reference(

@@ -153,7 +153,15 @@ def test_run_with_the_reference_decoder_swapped_in(monkeypatch):
         plain = anneal(stream, net, rules, config)
         with monkeypatch.context() as patch:
             patch.setattr(annealer_module, "StreamDecoder", DecoderReference)
-            patch.setattr(annealer_module, "replay_prefix", replay_prefix_reference)
+            # a neighbour hands replay_prefix its parent individual; the reference
+            # replays that individual's assignment
+            patch.setattr(
+                annealer_module,
+                "replay_prefix",
+                lambda decoder, stream, parent, cut: replay_prefix_reference(
+                    decoder, stream, parent.assignment, cut
+                ),
+            )
             reference = anneal(stream, net, rules, config)
         assert plain.records == reference.records, trial
         assert plain.best.log.assignment == reference.best.log.assignment, trial
@@ -261,6 +269,151 @@ def test_replay_reopens_a_closed_case_in_its_opening_place():
         assert decoder.rng.getstate() == slow_rng.getstate(), seed
         landed.add(decoder.assignment[5])
     assert landed == {"c1", "c2"}
+
+
+def assert_same_decoders(got: StreamDecoder, want: StreamDecoder) -> None:
+    """Same runs (node by identity, closed, events), open-case index and assignment order."""
+    assert [run.case_id for run in got.order] == [run.case_id for run in want.order]
+    for run, other in zip(got.order, want.order):
+        assert run.node is other.node, run.case_id
+        assert (run.closed, run.events) == (other.closed, other.events), run.case_id
+    assert list(got.cases) == [run.case_id for run in got.order]
+    assert all(got.cases[run.case_id] is run for run in got.order)
+    assert list(got.open_runs) == list(want.open_runs)
+    assert_open_index(got)
+    assert list(got.assignment.items()) == list(want.assignment.items())
+
+
+def test_a_restored_prefix_equals_its_replay_at_every_cut():
+    diverged = moved_by_replay = 0
+    for trial in range(120):
+        rng = seeded_rng("restore-replay", trial)
+        net, rules, stream = random_decoder_instance(rng)
+        config = AnnealerConfig(s_max=4)
+        cache, verdicts = AlignmentCache(), {}
+        parent = initial_individual(
+            stream, net, rules, random.Random(trial), config, cache, "S", verdicts
+        )
+        parents = [parent]  # a decoded stream, then the links of a proposal chain
+        for _step in range(3):
+            proposal = neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config, "S")
+            parent = evaluate_individual(
+                stream, proposal, net, rules, cache, config, verdicts, parent
+            )
+            parents.append(parent)
+        for parent in parents:
+            for cut in range(1, len(stream) + 2):
+                restored = StreamDecoder(net, rules, random.Random(0), "S")
+                replay_prefix(restored, stream, parent, cut)
+                replayed = StreamDecoder(net, rules, random.Random(0), "S")
+                replay_prefix(replayed, stream, parent.assignment, cut)
+                assert_same_decoders(restored, replayed)
+                assert restored.assignment.cut == cut and replayed.assignment.cut == 1
+            # the whole stream replayed: a diverged run is where replay and decode may part
+            for run in parent.runs.values():
+                diverged += run.diverged
+                moved_by_replay += replayed.cases[run.case_id].node is not run.node
+    assert diverged >= 100
+    assert moved_by_replay >= 10  # cases whose kept node a restore must not take
+
+
+def test_a_case_opened_without_firing_is_replayed_on_restore():
+    # S or T opens the net, and S is named the start activity: the leading T opens
+    # c1 without firing, where a replay fires it
+    net = WorkflowNet(
+        places=["p1", "p2", "p3"],
+        transitions=[Transition("t1", "S"), Transition("t2", "T"), Transition("t3", "E")],
+        arcs=[("p1", "t1"), ("t1", "p2"), ("p1", "t2"), ("t2", "p2"), ("p2", "t3"), ("t3", "p3")],
+    )
+    stream = build_uncorrelated_log([("T", 0, None), ("S", 5, None), ("E", 9, None)])
+    parent = initial_individual(stream, net, RuleSet(rules=()), random.Random(0), None, None, "S")
+    assert parent.assignment == {1: "c1", 2: "c2", 3: "c2"}
+    assert parent.runs["c1"].diverged and parent.runs["c1"].node is net.node({"p1": 1})
+    for cut in range(1, len(stream) + 2):
+        restored = StreamDecoder(net, RuleSet(rules=()), random.Random(0), "S")
+        replayed = StreamDecoder(net, RuleSet(rules=()), random.Random(0), "S")
+        replay_prefix(restored, stream, parent, cut)
+        replay_prefix(replayed, stream, parent.assignment, cut)
+        assert_same_decoders(restored, replayed)
+    assert restored.cases["c1"].node is net.node({"p2": 1})
+
+
+def test_debug_recompute_checks_every_restore(demo_net, demo_rules):
+    stream = make_demo_stream()
+    config = AnnealerConfig(s_max=10, debug_recompute=True)
+    parent = initial_individual(stream, demo_net, demo_rules, random.Random(7), config)
+    neighbor(stream, parent, 10, demo_net, demo_rules, random.Random(1), config)  # consistent
+    # c1 = <A, B, C> ends closed; a kept run that lies about its marking is restored as it lies
+    parent.runs["c1"].node = demo_net.node({"q2": 1})
+    with pytest.raises(AssertionError, match="differs from the replayed one"):
+        neighbor(stream, parent, 10, demo_net, demo_rules, random.Random(1), config)
+    lied = StreamDecoder(demo_net, demo_rules, random.Random(0))
+    replay_prefix(lied, stream, parent, 8)
+    assert lied.cases["c1"].node is demo_net.node({"q2": 1})
+
+
+def make_wide_loop_net() -> WorkflowNet:
+    """S, X closes through a silent move to the sink; Y loops back through an AND of silent moves.
+
+    The node after Y has six markings in its silent closure, so a marking
+    budget of 5 fails there.  The decoder never fires Y, as Y only follows X
+    and a case after X is closed, but a replay fires a Y that a closed case
+    absorbed.
+    """
+    return WorkflowNet(
+        places=["p1", "p2", "p3", "p4", "q0", "a1", "a2", "b1", "b2"],
+        transitions=[
+            Transition("t1", "S"), Transition("t2", "X"), Transition("t3", None),
+            Transition("t4", "Y"), Transition("split", None), Transition("a", None),
+            Transition("b", None), Transition("join", None),
+        ],
+        arcs=[
+            ("p1", "t1"), ("t1", "p2"), ("p2", "t2"), ("t2", "p3"), ("p3", "t3"), ("t3", "p4"),
+            ("p3", "t4"), ("t4", "q0"), ("q0", "split"), ("split", "a1"), ("split", "b1"),
+            ("a1", "a"), ("a", "a2"), ("b1", "b"), ("b", "b2"), ("a2", "join"), ("b2", "join"),
+            ("join", "p2"),
+        ],
+    )
+
+
+def test_restores_run_out_of_marking_budget_exactly_where_replays_do(monkeypatch):
+    real_replay_prefix = annealer_module.replay_prefix
+    failures = []
+
+    def counted(decoder, stream, parent, cut):
+        try:
+            real_replay_prefix(decoder, stream, parent, cut)
+        except BudgetExceeded:
+            failures.append(cut)
+            raise
+
+    def always_replayed(decoder, stream, parent, cut):
+        real_replay_prefix(decoder, stream, dict(parent.assignment), cut)
+
+    completed = 0
+    for trial in range(20):
+        rng = seeded_rng("restore-budget", trial)
+        words = [rng.choice(["SX", "SXYX", "SXY", "SYX", "SXX"]) for _ in range(rng.randint(2, 6))]
+        runs, records, timestamp = [list(word) for word in words], [], 0
+        while any(runs):
+            records.append((rng.choice([run for run in runs if run]).pop(0), timestamp, None))
+            timestamp += rng.randint(0, 9)
+        stream = build_uncorrelated_log(records)
+        config = AnnealerConfig(population=3, s_max=4, seed=trial, marking_budget=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(annealer_module, "replay_prefix", counted)
+            restored = anneal(stream, make_wide_loop_net(), RuleSet(rules=()), config)
+            patch.setattr(annealer_module, "replay_prefix", always_replayed)
+            replayed = anneal(stream, make_wide_loop_net(), RuleSet(rules=()), config)
+        # debug_recompute restores and replays every prefix, and both run out of budget alike
+        checked = anneal(
+            stream, make_wide_loop_net(), RuleSet(rules=()), replace(config, debug_recompute=True)
+        )
+        assert restored.records == replayed.records == checked.records, trial
+        assert restored.best.log.assignment == replayed.best.log.assignment, trial
+        completed += 1
+    assert completed == 20  # no initial decode ran out of budget
+    assert len(failures) >= 50  # restores that failed, each rejecting its proposal
 
 
 def test_decoder_counts_its_outcomes_on_the_demo_stream(demo_net, demo_rules):

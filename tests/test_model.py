@@ -15,6 +15,7 @@ from caseweave import (
 )
 
 from conftest import DEMO_TRUTH, DEMO_X, make_demo_stream, seeded_rng
+from oracles import build_uncorrelated_log_reference
 
 
 def test_build_orders_by_timestamp_then_input_position():
@@ -153,3 +154,42 @@ def test_shuffled_input_yields_identical_stream():
         # relative order of equal timestamps reproduce the baseline
         if [r for r in mixed if r[1] == 5] == [("A", 5, {}), ("C", 5, {})]:
             assert build_uncorrelated_log(mixed).events == baseline.events
+
+
+def _outcome(build, records):
+    try:
+        return build(iter(records)).events
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def test_build_matches_the_reference_on_random_records():
+    bad_records = [
+        5, None, ("A", 1), ("A", 1, None, None),  # records that do not unpack
+        ("", 3, None), (None, 3, None), (7, 3, None),  # missing activities
+        ("A", True, None), ("A", "noon", None), ("A", 1.0, None), ("A", None, None),
+    ]
+    errors = set()
+    for trial in range(300):
+        rng = seeded_rng("build-reference", trial)
+        records = [
+            (
+                rng.choice("ABCD"),
+                rng.randint(0, 6),  # few minutes, so most of them are shared
+                rng.choice([None, {}, {"k": rng.randint(0, 2)}, {"k": "v", "n": 1}]),
+            )
+            for _ in range(rng.randint(0, 30))
+        ]
+        if rng.random() < 0.4:  # one or two bad records: the first one is named
+            for _ in range(rng.randint(1, 2)):
+                records.insert(rng.randint(0, len(records)), rng.choice(bad_records))
+        got = _outcome(build_uncorrelated_log, records)
+        assert got == _outcome(build_uncorrelated_log_reference, records), trial
+        if isinstance(got, str):
+            errors.add(got.split(": ", 2)[-1])
+    assert errors == {
+        "empty log",
+        "expected (activity, timestamp, attributes)",
+        "missing activity",
+        "timestamp must be an integer minute",
+    }
