@@ -81,15 +81,12 @@ from .wfnet import (
     AlignmentCache,
     BudgetExceeded,
     Move,
-    NotEnabled,
     Transition,
     ValidationReport,
     WorkflowNet,
     advance,
     align_trace,
     enabled_activities,
-    enabled_transitions,
-    fire,
     infer_start_activity,
     is_final,
     log_alignment_cost,

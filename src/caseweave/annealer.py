@@ -224,7 +224,7 @@ class StreamDecoder:
             if start_activity is not None
             else infer_start_activity(net, marking_budget)
         )
-        self.initial = net.node(net.initial_marking())
+        self.initial = net.initial
         self.cases: dict[str, CaseRun] = {}
         self.order: list[CaseRun] = []
         self.open_runs: dict[str, CaseRun] = {}

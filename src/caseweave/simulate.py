@@ -100,7 +100,7 @@ def simulate_case(
 
     ``config`` is taken as :func:`simulate_log` has checked it.
     """
-    node = net.node(net.initial_marking())
+    node = net.initial
     ready: dict[str, list[int]] = {net.input_place: [start_minute]}
     out_place = net.output_place
     fired: dict[str, int] = {}

@@ -7,13 +7,16 @@ tuples of places, and firing moves one token along each arc.  Finality is
 covering: a marking is final when the sink place holds a token, possibly after
 firing silent transitions only.
 
-Each net keeps a marking table with one interned :class:`MarkingNode` per
-distinct marking seen.  A node lazily holds its enabled transitions with their
-target nodes, the node each activity advances to through the silent closure,
-and its finality; the decoder, the simulator, the reachability check and
-alignment all walk this one successor relation.  :func:`fire` is the firing
-rule the table is built with; the other functions taking a ``Marking`` dict
-are adapters onto the table.
+A marking is a vector of token counts, one per place in ``net.places`` order
+(Murata, "Petri nets: Properties, analysis and applications", Proc. IEEE
+77(4), 1989).  Each net keeps a marking table with one interned
+:class:`MarkingNode` per distinct vector seen.  A node lazily holds its
+enabled transitions with their target nodes, the node each activity advances
+to through the silent closure, and its finality; the decoder, the simulator,
+the reachability check and alignment all walk this one successor relation.
+A place -> count mapping enters only through :meth:`WorkflowNet.node`;
+:func:`enabled_activities`, :func:`advance` and :func:`is_final` take one and
+answer from its node.
 
 Alignment follows the usual move costs: synchronous moves and silent model
 moves are free, visible model moves and log moves cost 1.  It searches
@@ -41,12 +44,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import EventLog, InputError
-
-Marking = dict[str, int]
-FrozenMarking = tuple[tuple[str, int], ...]
 
 DEFAULT_MARKING_BUDGET = 10_000
 DEFAULT_STATE_BUDGET = 1_000_000
@@ -54,10 +55,6 @@ DEFAULT_STATE_BUDGET = 1_000_000
 
 class BudgetExceeded(RuntimeError):
     """A bounded search ran out of budget; callers treat the cost as infinite."""
-
-
-class NotEnabled(ValueError):
-    """Attempt to fire a transition that the marking does not enable."""
 
 
 @dataclass(frozen=True)
@@ -91,25 +88,18 @@ class Alignment:
     moves: tuple[Move, ...]
 
 
-def freeze(marking: Marking) -> FrozenMarking:
-    return tuple(sorted((p, n) for p, n in marking.items() if n > 0))
-
-
-def thaw(frozen: FrozenMarking) -> Marking:
-    return dict(frozen)
-
-
 class MarkingNode:
     """One interned marking of a net; obtain nodes from :meth:`WorkflowNet.node`.
 
-    Each fact is computed on first use and kept.  The silent closure is walked
-    once and its size kept, so a later call under a smaller budget raises as a
-    fresh walk would.
+    ``marking`` is the token count of each place, in ``net.places`` order, and
+    the table's key for the node.  Each fact is computed on first use and kept.
+    The silent closure is walked once and its size kept, so a later call under
+    a smaller budget raises as a fresh walk would.
     """
 
     __slots__ = ("net", "marking", "_successors", "_moves", "_final", "_size")
 
-    def __init__(self, net: WorkflowNet, marking: FrozenMarking) -> None:
+    def __init__(self, net: WorkflowNet, marking: tuple[int, ...]) -> None:
         self.net = net
         self.marking = marking
         self._successors: tuple[tuple[Transition, MarkingNode], ...] | None = None
@@ -119,16 +109,20 @@ class MarkingNode:
 
     def holds(self, place: str) -> bool:
         """True when ``place`` carries a token."""
-        return any(p == place for p, _n in self.marking)
+        return self.marking[self.net._index[place]] > 0
 
     def successors(self) -> tuple[tuple[Transition, MarkingNode], ...]:
-        """Directly enabled transitions with their target nodes, in definition order."""
+        """Directly enabled transitions with their target nodes, in definition order.
+
+        A transition is enabled when each place of its preset holds a token;
+        firing adds its token change per place to the counts.
+        """
         if self._successors is None:
-            net, tokens = self.net, thaw(self.marking)
+            net, counts = self.net, self.marking
             self._successors = tuple(
-                (t, net.node(fire(net, tokens, t.tid)))
-                for t in net.transitions
-                if _is_enabled(net, tokens, t.tid)
+                (t, net._intern(tuple(map(add, counts, change))))
+                for t, preset, change in net._firings
+                if all(counts[i] for i in preset)
             )
         return self._successors
 
@@ -231,7 +225,17 @@ class WorkflowNet:
         self._sources = tuple(p for p in self.places if p not in fed)
         self._sinks = tuple(p for p in self.places if p not in drained)
         self.labels = frozenset(t.label for t in self.transitions if t.label is not None)
-        self._nodes: dict[FrozenMarking, MarkingNode] = {}
+        self._index = {p: i for i, p in enumerate(self.places)}
+        # per transition: its preset's place indices, and its token change per place
+        self._firings = tuple(
+            (
+                t,
+                tuple(self._index[p] for p in self.preset[t.tid]),
+                tuple((p in self.postset[t.tid]) - (p in self.preset[t.tid]) for p in self.places),
+            )
+            for t in self.transitions
+        )
+        self._nodes: dict[tuple[int, ...], MarkingNode] = {}
 
     @property
     def input_place(self) -> str:
@@ -245,15 +249,35 @@ class WorkflowNet:
             raise InputError(f"net has {len(self._sinks)} sink places, expected 1")
         return self._sinks[0]
 
-    def initial_marking(self) -> Marking:
-        return {self.input_place: 1}
+    @property
+    def initial(self) -> MarkingNode:
+        """The node of the initial marking: one token on the source place."""
+        return self.node({self.input_place: 1})
 
-    def node(self, marking: Marking) -> MarkingNode:
-        """The table's node for ``marking``, added on first sight."""
-        key = freeze(marking)
-        node = self._nodes.get(key)
+    def node(self, marking: Mapping[str, int]) -> MarkingNode:
+        """The table's node for a place -> token count mapping; zero counts are ignored.
+
+        Raises InputError for a place the net lacks, or a count that is not a
+        non-negative int.
+        """
+        counts = [0] * len(self.places)
+        for place, count in marking.items():
+            i = self._index.get(place)
+            if i is None:
+                raise InputError(f"marking names {place!r}, which is not a place of the net")
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise InputError(
+                    f"marking gives place {place!r} {count!r} tokens, expected a non-negative int"
+                )
+            counts[i] = count
+        return self._intern(tuple(counts))
+
+    def _intern(self, counts: tuple[int, ...]) -> MarkingNode:
+        """The table's node for a count vector, added on first sight."""
+        node = self._nodes.get(counts)
         if node is None:
-            node = self._nodes[key] = MarkingNode(self, key)
+            # setdefault is one step, so threads racing on a new marking share one node
+            node = self._nodes.setdefault(counts, MarkingNode(self, counts))
         return node
 
     def transition(self, tid: str) -> Transition:
@@ -263,42 +287,15 @@ class WorkflowNet:
         raise KeyError(tid)
 
 
-def _is_enabled(net: WorkflowNet, marking: Marking, tid: str) -> bool:
-    return all(marking.get(p, 0) > 0 for p in net.preset[tid])
-
-
-def enabled_transitions(net: WorkflowNet, marking: Marking) -> frozenset[str]:
-    """Ids of transitions the marking enables directly (no silent closure)."""
-    return frozenset(t.tid for t, _nxt in net.node(marking).successors())
-
-
-def fire(net: WorkflowNet, marking: Marking, tid: str) -> Marking:
-    """Fire ``tid``; raises NotEnabled when the preset is not covered."""
-    if tid not in net.preset:
-        raise KeyError(tid)
-    if not _is_enabled(net, marking, tid):
-        raise NotEnabled(f"transition {tid} not enabled")
-    new = dict(marking)
-    for p in net.preset[tid]:
-        left = new[p] - 1
-        if left:
-            new[p] = left
-        else:
-            del new[p]
-    for p in net.postset[tid]:
-        new[p] = new.get(p, 0) + 1
-    return new
-
-
 def enabled_activities(
-    net: WorkflowNet, marking: Marking, budget: int = DEFAULT_MARKING_BUDGET
+    net: WorkflowNet, marking: Mapping[str, int], budget: int = DEFAULT_MARKING_BUDGET
 ) -> frozenset[str]:
     """Activity labels fireable from ``marking`` after any silent prefix."""
     return frozenset(net.node(marking).moves(budget))
 
 
 def is_final(
-    net: WorkflowNet, marking: Marking, budget: int = DEFAULT_MARKING_BUDGET
+    net: WorkflowNet, marking: Mapping[str, int], budget: int = DEFAULT_MARKING_BUDGET
 ) -> bool:
     """True when the sink place can be covered by firing silent transitions only."""
     return net.node(marking).final(budget)
@@ -306,22 +303,22 @@ def is_final(
 
 def advance(
     net: WorkflowNet,
-    marking: Marking,
+    marking: Mapping[str, int],
     activity: str,
     budget: int = DEFAULT_MARKING_BUDGET,
-) -> Marking | None:
-    """Fire ``activity`` after the shortest silent prefix; None if unreachable.
+) -> MarkingNode | None:
+    """The node after firing ``activity`` behind the shortest silent prefix; None if unreachable.
 
     Deterministic: BFS order over silent firings, definition order among
     transitions sharing the label (see :meth:`MarkingNode.moves`).
     """
-    target = net.node(marking).moves(budget).get(activity)
-    return None if target is None else thaw(target.marking)
+    return net.node(marking).moves(budget).get(activity)
 
 
 def infer_start_activity(net: WorkflowNet, budget: int = DEFAULT_MARKING_BUDGET) -> str:
     """The unique activity enabled at the initial marking."""
-    acts = enabled_activities(net, net.initial_marking(), budget)
+    # through the mapping adapter, the boundary perfbench's tracer counts
+    acts = enabled_activities(net, {net.input_place: 1}, budget)
     if len(acts) != 1:
         raise InputError(f"expected exactly one start activity, found {sorted(acts)}")
     return next(iter(acts))
@@ -389,7 +386,7 @@ def validate_net(
 
 def _final_reachable(net: WorkflowNet, budget: int) -> bool:
     """Token-game BFS from the initial marking until a final marking appears."""
-    start = net.node(net.initial_marking())
+    start = net.initial
     out_place = net.output_place
     return any(node.holds(out_place) for node in start.reachable(budget, silent_only=False))
 
@@ -427,7 +424,7 @@ def align_trace(
     h0 = 0 if labels.issuperset(trace) else sum(symbol not in labels for symbol in trace)
 
     out_place = net.output_place
-    start = (net.node(net.initial_marking()), 0)
+    start = (net.initial, 0)
     parent: _Parents = {start: None}
     # queues[k]: the current layer's states with h[pos] == k, so with g == f - k.
     queues: list[list[_State]] = [[] for _ in range(h0 + 1)]
@@ -502,7 +499,7 @@ def _replays(net: WorkflowNet, trace: tuple[str, ...], marking_budget: int) -> b
     silent prefix per symbol; a closure over ``marking_budget`` also answers
     False.
     """
-    node = net.node(net.initial_marking())
+    node = net.initial
     try:
         for symbol in trace:
             node = node.moves(marking_budget).get(symbol)

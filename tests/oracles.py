@@ -247,7 +247,7 @@ def astar_align_reference(
         h[i] = h[i + 1] + (0 if trace[i] in net.labels else 1)
 
     out_place = net.output_place
-    start = (net.node(net.initial_marking()), 0)
+    start = (net.initial, 0)
     counter = settled = 0
     heap: list[tuple[int, int, int, _State]] = [(h[0], 0, counter, start)]
     best_g: dict[_State, int] = {start: 0}

@@ -268,7 +268,7 @@ def test_pnml_reads_unit_inscriptions_and_one_source_token(tmp_path):
     )
     assert explicit.count("<text>") == DEMO_PNML.count("<text>") + 3
     net = read_pnml_text(tmp_path, explicit)
-    assert net.initial_marking() == {"q1": 1}
+    assert net.initial is net.node({"q1": 1})
     assert net.arcs == read_pnml_text(tmp_path, DEMO_PNML).arcs
 
 

@@ -1,5 +1,6 @@
 """Token game, silent closure, validation, and trace alignment."""
 
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +14,6 @@ from caseweave import (
     AnnealerConfig,
     BudgetExceeded,
     InputError,
-    NotEnabled,
     RuleSet,
     Transition,
     WorkflowNet,
@@ -22,15 +22,12 @@ from caseweave import (
     build_uncorrelated_log,
     correlate,
     enabled_activities,
-    enabled_transitions,
-    fire,
     infer_start_activity,
     is_final,
     log_alignment_cost,
     run,
     validate_net,
 )
-from caseweave.wfnet import freeze, thaw
 
 from conftest import (
     DEMO_TRUTH,
@@ -42,6 +39,8 @@ from conftest import (
 )
 from oracles import (
     OracleBudget,
+    _enabled,
+    _fire,
     astar_align_reference,
     brute_force_alignment_cost,
     random_structured_net,
@@ -53,15 +52,19 @@ from oracles import (
 
 
 def replay_alignment(net: WorkflowNet, trace: tuple[str, ...], alignment: Alignment) -> None:
-    """An alignment must replay to a final marking while consuming the trace."""
-    marking = net.initial_marking()
+    """An alignment must replay to a final marking while consuming the trace.
+
+    Moves fire on the reference token game, not on the net's marking table.
+    """
+    marking = {net.input_place: 1}
     position = 0
     visible_model = 0
     log_moves = 0
     for move in alignment.moves:
         if move.kind in ("sync", "model"):
             assert move.transition is not None
-            marking = fire(net, marking, move.transition)
+            assert _enabled(net, marking, move.transition)
+            marking = _fire(net, marking, move.transition)
         if move.kind == "sync":
             assert trace[position] == move.activity
             assert net.transition(move.transition).label == move.activity
@@ -77,21 +80,50 @@ def replay_alignment(net: WorkflowNet, trace: tuple[str, ...], alignment: Alignm
     assert alignment.cost == visible_model + log_moves
 
 
-def test_fire_moves_tokens_and_checks_enabledness(demo_net):
-    marking = demo_net.initial_marking()
-    assert marking == {"q1": 1}
-    assert enabled_transitions(demo_net, marking) == {"t1"}
-    after = fire(demo_net, marking, "t1")
-    assert after == {"q2": 1}
-    assert marking == {"q1": 1}  # firing is pure
-    with pytest.raises(NotEnabled):
-        fire(demo_net, after, "t4")
+def test_successors_match_the_reference_token_game_on_random_nets(demo_net):
+    assert demo_net.initial is demo_net.node({"q1": 1})
+    assert demo_net.initial.successors() == ((demo_net.transition("t1"), demo_net.node({"q2": 1})),)
+    checked = 0
+    for trial in range(40):
+        rng = seeded_rng("wfnet-successors", trial)
+        net = random_structured_net(rng)
+        try:
+            markings = reachable_markings(net)
+        except OracleBudget:
+            continue
+        for marking in markings:
+            node = net.node(marking)
+            want = [
+                (t, net.node(_fire(net, marking, t.tid)))
+                for t in net.transitions
+                if _enabled(net, marking, t.tid)
+            ]
+            assert list(node.successors()) == want, (trial, marking)
+            for place in net.places:
+                assert node.holds(place) == (marking.get(place, 0) > 0), (trial, marking, place)
+        checked += 1
+    assert checked >= 30
 
 
-def test_freeze_thaw_round_trip():
-    marking = {"b": 2, "a": 1}
-    assert thaw(freeze(marking)) == marking
-    assert freeze(marking) == (("a", 1), ("b", 2))
+def test_node_ignores_zero_counts_and_counts_more_than_one_token(demo_net):
+    assert demo_net.node({"q4": 1, "q2": 0}) is demo_net.node({"q4": 1})
+    assert demo_net.node({"q2": 2}) is not demo_net.node({"q2": 1})
+    b, c = demo_net.node({"q2": 2}).successors()  # each takes one of the two tokens
+    assert b == (demo_net.transition("t2"), demo_net.node({"q2": 1, "q3": 1}))
+    assert c == (demo_net.transition("t3"), demo_net.node({"q2": 1, "q4": 1}))
+
+
+def test_node_rejects_a_place_the_net_lacks(demo_net):
+    with pytest.raises(InputError, match="'nope'"):
+        demo_net.node({"nope": 1})
+    with pytest.raises(InputError, match="'nope'"):
+        enabled_activities(demo_net, {"q1": 1, "nope": 0})
+
+
+@pytest.mark.parametrize("count", [-1, True, False, 1.0, "1", None])
+def test_node_rejects_a_count_that_is_not_a_non_negative_int(demo_net, count):
+    with pytest.raises(InputError, match=re.escape(f"'q2' {count!r} tokens")):
+        demo_net.node({"q1": 1, "q2": count})
 
 
 def test_single_source_and_sink_are_required():
@@ -110,7 +142,7 @@ def test_closure_sees_activities_behind_silent_steps(demo_net):
     # from q3 the silent t5 re-opens the B/C choice, D fires directly
     assert enabled_activities(demo_net, {"q3": 1}) == frozenset({"B", "C", "D"})
     assert enabled_activities(demo_net, {"q2": 1}) == frozenset({"B", "C"})
-    assert enabled_transitions(demo_net, {"q3": 1}) == {"t4", "t5"}
+    assert [t.tid for t, _nxt in demo_net.node({"q3": 1}).successors()] == ["t4", "t5"]
 
 
 def test_finality_is_coverage_of_the_sink(demo_net):
@@ -122,10 +154,10 @@ def test_finality_is_coverage_of_the_sink(demo_net):
 
 def test_advance_fires_through_the_shortest_silent_prefix(demo_net):
     # B from q3 needs t5 first; the result sits past both firings
-    assert advance(demo_net, {"q3": 1}, "B") == {"q3": 1}
-    assert advance(demo_net, {"q3": 1}, "D") == {"q4": 1}
+    assert advance(demo_net, {"q3": 1}, "B") is demo_net.node({"q3": 1})
+    assert advance(demo_net, {"q3": 1}, "D") is demo_net.node({"q4": 1})
     assert advance(demo_net, {"q2": 1}, "D") is None
-    assert advance(demo_net, {"q1": 1}, "A") == {"q2": 1}
+    assert advance(demo_net, {"q1": 1}, "A") is demo_net.node({"q2": 1})
 
 
 def test_advance_breaks_silent_ties_by_definition_order():
@@ -149,7 +181,7 @@ def test_advance_breaks_silent_ties_by_definition_order():
         ],
     )
     # both silent prefixes have length one; s1 is defined first and wins
-    assert advance(net, {"p1": 1}, "A") == {"p4": 1}
+    assert advance(net, {"p1": 1}, "A") is net.node({"p4": 1})
 
 
 def make_silent_chain(width: int) -> WorkflowNet:
@@ -247,7 +279,7 @@ def test_marking_table_keeps_one_node_per_marking_across_threads():
     # every successor a thread stored must be the table's node for its marking
     for i in range(width + 2):
         for _t, target in net.node({f"p{i}": 1}).successors():
-            assert target is net.node(thaw(target.marking)), i
+            assert target is net.node(dict(zip(net.places, target.marking))), i
 
 
 def test_infer_start_activity(demo_net, loop_net):
@@ -389,11 +421,9 @@ def test_token_game_matches_the_reference_closure_on_random_nets():
             assert enabled_activities(net, marking) == activities, (trial, marking)
             assert is_final(net, marking) == final, (trial, marking)
             for activity in sorted(net.labels | {"z"}):
-                assert advance(net, marking, activity) == targets.get(activity), (
-                    trial,
-                    marking,
-                    activity,
-                )
+                target = targets.get(activity)
+                want = None if target is None else net.node(target)
+                assert advance(net, marking, activity) is want, (trial, marking, activity)
         checked += 1
     assert checked >= 30
 
