@@ -17,7 +17,10 @@ restored, not replayed: an individual keeps its decoder's case runs, and a case
 whose events all precede the cut takes its marking from there.  That marking
 is what a replay of the case's events would rebuild, except where the decoder
 absorbed an event that a replay would fire; only such a case, and a case that
-straddles the cut, is replayed from its events.  Candidates are compared
+straddles the cut, is replayed from its events.  A closed run is not copied
+but shared with the neighbour: runs are never changed once their individual
+is built, and the one decode step that writes to a closed run, a deviation it
+absorbs, swaps it for a copy first.  Candidates are compared
 lexicographically on the energy triple (alignment cost fa, rule cost fr,
 duration variance ft); a worse candidate is still adopted with probability
 exp(-delta/tau) under a logarithmic cooling schedule.  The best individual ever
@@ -28,7 +31,8 @@ the alignment cost of its trace, its (triggered, violated) rule counts, and the
 elapsed minutes of its non-first events.  A case is changed exactly when its
 set of events differs between two assignments, so the changed cases are the
 case ids of the events assigned differently; a neighbour keeps its parent's
-assignment before the cut, so only the suffix is compared.  A
+assignment before the cut, so only the suffix is compared.  A changed case's
+events are read from the decoder's run, not regrouped from the stream.  A
 candidate's totals are its parent's, minus the old contributions of the
 changed cases, plus their new ones; evaluating from scratch is the same code
 with every case changed.  The totals are integers: ``fa`` itself, the cases'
@@ -116,7 +120,8 @@ class Individual:
 
     An individual evaluated from a decoder's :class:`Proposal` also keeps that
     decoder's ``runs``, which :func:`replay_prefix` restores a neighbour's
-    prefix from; any other has ``runs`` None and is replayed.
+    prefix from; any other has ``runs`` None and is replayed.  Its closed runs
+    may be shared with its neighbours, so no run changes once it is built.
     """
 
     log: EventLog
@@ -159,13 +164,18 @@ class AnnealerResult:
     records: tuple[IterationRecord, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class CaseRun:
     """Mutable per-case decoder state.
 
     ``node`` and ``closed`` are the case's replay state, what
     :func:`replay_prefix` rebuilds from its events, unless ``diverged``: the
     decoder absorbed one of its events where a replay would have moved it.
+
+    A closed run may be shared between an individual and the decoders
+    restored from it, so it is written to only through a copy: the decoder
+    swaps a closed winner for one before the winner absorbs a deviation.
+    Runs compare by identity.
     """
 
     case_id: str
@@ -267,6 +277,13 @@ class StreamDecoder:
                 self.open_runs = {r.case_id: r for r in self.order if not r.closed}
         return True
 
+    def _own(self, run: CaseRun) -> CaseRun:
+        """Swap a closed ``run``, which may be shared with another decode, for a copy."""
+        copy = CaseRun(run.case_id, run.node, run.events.copy(), run.closed, run.diverged)
+        self.cases[run.case_id] = copy
+        self.order[self.order.index(run)] = copy  # runs compare by identity
+        return copy
+
     def _pick(self, candidates: Sequence[CaseRun], event: Event) -> CaseRun:
         if len(candidates) == 1:
             return candidates[0]
@@ -309,9 +326,11 @@ class StreamDecoder:
                 # winner absorbs the event without moving its marking.
                 self.deviations += 1
                 chosen = self._pick(self.order, event)
-                # only a closed winner can enable it; its closure is walked, so this cannot raise
-                if chosen.closed and event.activity in chosen.node.moves(budget):
-                    chosen.diverged = True
+                if chosen.closed:
+                    chosen = self._own(chosen)
+                    # only a closed winner can enable it; its closure is walked: this cannot raise
+                    if event.activity in chosen.node.moves(budget):
+                        chosen.diverged = True
             else:
                 self.opened += 1
                 chosen = self.open_case()
@@ -341,7 +360,10 @@ def replay_prefix(
     An individual that keeps its decoder's runs is restored, not replayed:
     its cases come in order of first event, each case whose events all
     precede ``cut`` takes its run's marking, and only a case that straddles
-    ``cut`` or diverged is replayed from its events.  So the restore raises
+    ``cut`` or diverged is replayed from its events.  Such a closed run is
+    taken as it is, the same object, and an open one is copied, since its
+    node moves on; the decoder copies a closed run before it writes to it,
+    so the individual's runs never change.  So the restore raises
     BudgetExceeded exactly when the replay would.  An assignment, or an
     individual without runs, is replayed event by event; that replay is the
     reference the restore is checked against.  Given an individual, the
@@ -374,8 +396,11 @@ def replay_prefix(
                     break
                 decoder._advance(run, event.activity)
                 run.events.append(event)
-        else:
-            run = cases[case_id] = CaseRun(case_id, kept.node, kept.events.copy(), kept.closed)
+        elif kept.closed:  # shared: a decode copies a closed run before it writes to it
+            cases[case_id] = kept
+            order.append(kept)
+        else:  # an open run's node moves on
+            run = cases[case_id] = CaseRun(case_id, kept.node, kept.events.copy())
             order.append(run)
     decoder.open_runs = {run.case_id: run for run in order if not run.closed}
     decoder.assignment.update(islice(assignment.items(), cut - 1))
@@ -459,6 +484,29 @@ def _changed_cases(
     return changed
 
 
+def _changed_runs(
+    proposal: Proposal, before: Mapping[int, str], cut: int
+) -> dict[str, tuple[Event, ...]]:
+    """What :func:`_changed_cases` finds, read from the proposal's runs.
+
+    Both assignments list the events in stream order and agree before
+    ``cut``.  The changed cases are the new and the old id of each event from
+    ``cut`` on that the two assign differently, in that order; each gets its
+    run's events, and a case that is gone gets none.
+    """
+    new_ids = list(islice(proposal.values(), cut - 1, None))
+    old_ids = list(islice(before.values(), cut - 1, None))
+    if new_ids == old_ids:
+        return {}
+    runs = proposal.runs
+    changed = dict.fromkeys(
+        case_id for new, old in zip(new_ids, old_ids) if new != old for case_id in (new, old)
+    )
+    return {
+        case_id: tuple(runs[case_id].events) if case_id in runs else () for case_id in changed
+    }
+
+
 def evaluate_individual(
     stream: UncorrelatedLog,
     assignment: Mapping[int, str],
@@ -471,33 +519,45 @@ def evaluate_individual(
 ) -> Individual:
     """Build the correlated log and its energy triple; ``verdicts`` is ``case_verdicts``' memo.
 
-    Without ``current``, or with one built by hand, every case is evaluated
-    and the assignment is checked to partition the stream.  Otherwise
-    ``assignment`` must be such a partition, as the decoder's are: only the
-    cases whose events differ from ``current``'s are evaluated, and the totals
-    are ``current``'s minus their old contributions plus their new ones.  Both
+    Without ``current``, or with one built by hand, every case is evaluated:
+    a plain mapping is checked to partition the stream, and a
+    :class:`Proposal`'s cases are its ``runs``.  Otherwise ``assignment``
+    must be a partition, as the decoder's are: only the cases whose events
+    differ from ``current``'s are evaluated, and the totals are
+    ``current``'s minus their old contributions plus their new ones.  Both
     ways give exactly the same totals.  A :class:`Proposal` from
     :func:`neighbor` must be given the individual it was proposed from: the
-    two are compared only from the proposal's ``cut`` on.  The individual
-    keeps a proposal's ``runs``.
+    two are compared only from the proposal's ``cut`` on, and if that
+    individual keeps runs, the changed cases' events are read from the
+    proposal's runs.  A plain mapping, or an individual without runs, takes
+    the reference path, which groups the cases from the stream.  The
+    individual keeps a proposal's ``runs``.
 
     With a ``cache``, each changed case's alignment cost is looked up there.
     A call without a cache searches every trace with :func:`align_trace`,
     with no memo and no replay; that is how ``debug_recompute`` checks the
-    cache's answers.
+    cache's answers.  Its rebuild takes the assignment as a plain mapping, so
+    it checks a proposal's runs against the stream too.
     """
     config = config or AnnealerConfig()
     runs, cut = (assignment.runs, assignment.cut) if isinstance(assignment, Proposal) else (None, 1)
     if current is None or current.cases is None:
-        log = correlate(stream, assignment)
         cases: dict[str, CaseEnergy] = {}
         fa, violations, durations = 0, 0, {}
-        changed = {case.case_id: case.events for case in log.cases}
+        if runs is None:
+            log = correlate(stream, assignment)
+            changed = {case.case_id: case.events for case in log.cases}
+        else:
+            log = EventLog(base=stream, assignment=assignment)  # unchecked; cases built on demand
+            changed = {case_id: tuple(run.events) for case_id, run in runs.items()}
     else:
         log = EventLog(base=stream, assignment=assignment)  # unchecked; cases built on demand
         cases = dict(current.cases)
         fa, violations, durations = current.fa, current.violations, dict(current.durations)
-        changed = _changed_cases(stream, current.assignment, current.cases, assignment, cut)
+        if runs is None or current.runs is None:
+            changed = _changed_cases(stream, current.assignment, current.cases, assignment, cut)
+        else:
+            changed = _changed_runs(assignment, current.assignment, cut)
     scale = violation_scale(rules)
     for case_id, events in changed.items():
         old = cases.pop(case_id, None)
@@ -524,9 +584,10 @@ def evaluate_individual(
     )
     if config.debug_recompute and any(x is not None for x in (cache, verdicts, current)):
         # from scratch, with no memo and every trace searched: every total must match exactly
-        fresh = evaluate_individual(stream, assignment, net, rules, None, config)
+        # a plain mapping, so the runs a proposal read its cases from are checked too
+        fresh = evaluate_individual(stream, dict(assignment), net, rules, None, config)
         got, want = (
-            (x.energies, x.violations, x.durations) for x in (individual, fresh)
+            (x.energies, x.violations, x.durations, x.cases) for x in (individual, fresh)
         )
         if got != want:
             raise AssertionError(f"energies by memo and delta {got} != recomputed {want}")

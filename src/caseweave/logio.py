@@ -120,7 +120,7 @@ def read_log_csv(path: str, schema: LogFileSchema | None = None) -> Uncorrelated
     filled = sum(1 for item in staged if item[4])
     if has_case_column and 0 < filled < len(staged):
         raise InputError(f"{path}: case column is only partially filled ({filled}/{len(staged)})")
-    staged.sort(key=lambda item: (item[0], item[1]))
+    staged.sort()  # the row numbers are unique, so no tuple is compared past its row number
     stream = build_uncorrelated_log([(act, ts, attrs) for ts, _no, act, attrs, _cid in staged])
     if not has_case_column or filled == 0:
         return stream

@@ -338,6 +338,97 @@ def test_a_case_opened_without_firing_is_replayed_on_restore():
     assert restored.cases["c1"].node is net.node({"p2": 1})
 
 
+def run_snapshot(individual: Individual) -> dict:
+    """Each run's id, node, closed and diverged flags and events, as built."""
+    return {
+        case_id: (run.case_id, run.node, run.closed, run.diverged, tuple(run.events))
+        for case_id, run in individual.runs.items()
+    }
+
+
+def test_descendants_share_closed_runs_and_never_change_them():
+    shared = absorbed = 0
+    for trial in range(60):
+        rng = seeded_rng("shared-runs", trial)
+        net, rules, stream = random_decoder_instance(rng)
+        config = AnnealerConfig(s_max=4)
+        cache, verdicts = AlignmentCache(), {}
+        parent = initial_individual(
+            stream, net, rules, random.Random(trial), config, cache, "S", verdicts
+        )
+        built = [(parent, run_snapshot(parent))]
+        for _step in range(12):
+            parent = built[rng.randrange(len(built))][0]  # any ancestor may propose again
+            proposal = neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config, "S")
+            for case_id, kept in parent.runs.items():
+                if kept.diverged or not kept.closed or kept.events[-1].index >= proposal.cut:
+                    continue  # straddles the cut, diverged or open: never shared
+                run = proposal.runs[case_id]
+                if run is kept:
+                    shared += 1
+                else:  # copied on write: it absorbed a suffix event as a deviation
+                    assert run.events[: len(kept.events)] == kept.events, trial
+                    assert len(run.events) > len(kept.events), trial
+                    absorbed += 1
+            child = evaluate_individual(
+                stream, proposal, net, rules, cache, config, verdicts, parent
+            )
+            built.append((child, run_snapshot(child)))
+        for individual, snapshot in built:
+            assert run_snapshot(individual) == snapshot, trial
+    assert shared >= 400  # closed prefix runs a child holds as its parent's objects
+    assert absorbed >= 60  # deviations that copy a shared closed run before writing to it
+
+
+def test_changed_cases_from_the_runs_match_the_mapping_path_at_every_cut():
+    found = 0
+    for trial in range(60):
+        rng = seeded_rng("changed-runs", trial)
+        net, rules, stream = random_decoder_instance(rng)
+        config = AnnealerConfig(s_max=4)
+        cache, verdicts = AlignmentCache(), {}
+        parent = initial_individual(
+            stream, net, rules, random.Random(trial), config, cache, "S", verdicts
+        )
+        for _step in range(3):
+            for cut in range(1, len(stream) + 2):
+                decoder = StreamDecoder(net, rules, random.Random(cut), "S")
+                replay_prefix(decoder, stream, parent, cut)
+                proposal = decoder.run(stream.events[cut - 1 :])
+                got = annealer_module._changed_runs(proposal, parent.assignment, cut)
+                want = annealer_module._changed_cases(
+                    stream, parent.assignment, parent.cases, proposal, cut
+                )
+                assert list(got.items()) == list(want.items()), (trial, cut)
+                found += len(got)
+            proposal = neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config, "S")
+            parent = evaluate_individual(
+                stream, proposal, net, rules, cache, config, verdicts, parent
+            )
+    assert found >= 2000
+
+
+def test_a_from_scratch_evaluation_from_the_runs_equals_the_mapping_path():
+    for trial in range(60):
+        rng = seeded_rng("scratch-runs", trial)
+        net, rules, stream = random_decoder_instance(rng)
+        config = AnnealerConfig(s_max=4)
+        parent = initial_individual(stream, net, rules, random.Random(trial), config, None, "S")
+        proposals = [
+            StreamDecoder(net, rules, random.Random(-trial), "S").run(stream.events),
+            neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config, "S"),
+        ]
+        for proposal in proposals:
+            got = evaluate_individual(stream, proposal, net, rules)
+            want = evaluate_individual(stream, dict(proposal), net, rules)
+            assert list(got.cases.items()) == list(want.cases.items()), trial
+            assert got.log.cases == want.log.cases, trial
+            assert (got.energies, got.violations, got.durations) == (
+                want.energies, want.violations, want.durations
+            ), trial
+            assert got.runs is proposal.runs and want.runs is None
+
+
 def test_debug_recompute_checks_every_restore(demo_net, demo_rules):
     stream = make_demo_stream()
     config = AnnealerConfig(s_max=10, debug_recompute=True)
@@ -602,6 +693,31 @@ def test_debug_recompute_checks_the_delta_totals(demo_net, demo_rules):
     ):
         with pytest.raises(AssertionError, match="recomputed"):
             evaluate_individual(stream, proposal, demo_net, demo_rules, None, config, None, stale)
+
+
+def test_debug_recompute_checks_the_runs_against_the_assignment(demo_net, demo_rules):
+    stream = make_demo_stream()
+    config = AnnealerConfig(debug_recompute=True)
+    # D (e8) ties between c2 and c3: Random(7) gives it to c3 and Random(1) to c2
+    parent = initial_individual(stream, demo_net, demo_rules, random.Random(7), config)
+    assert parent.assignment[8] == "c3"
+
+    def decoded(cut: int):
+        decoder = StreamDecoder(demo_net, demo_rules, random.Random(1))
+        replay_prefix(decoder, stream, parent, cut)
+        return decoder.run(stream.events[cut - 1 :])
+
+    for cut, current in ((1, None), (8, parent)):  # from scratch, then by delta
+        assert decoded(cut)[8] == "c2"
+        evaluate_individual(stream, decoded(cut), demo_net, demo_rules, None, config, {}, current)
+        dropped, stale = decoded(cut), decoded(cut)
+        del dropped.runs["c2"]
+        stale.runs["c3"].events.append(stream.events[7])  # c3's run keeps the parent's e8
+        for proposal in (dropped, stale):
+            with pytest.raises(AssertionError, match="recomputed"):
+                evaluate_individual(
+                    stream, proposal, demo_net, demo_rules, None, config, {}, current
+                )
 
 
 def test_delta_energies_match_the_oracles_along_random_proposal_chains():

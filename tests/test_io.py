@@ -168,6 +168,24 @@ def test_integer_looking_attributes_come_back_as_ints(tmp_path):
     assert log.events[1].attributes == {"Amount": -3}
 
 
+def test_same_minute_rows_keep_their_file_order(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "case_id,activity,timestamp,Note\n"
+        "c1,C,2020-01-01 00:30,late\n"
+        "c2,B,2020-01-01 00:00,x\n"
+        "c1,A,2020-01-01 00:00,x\n"
+        "c3,D,2020-01-01 00:30,\n"
+        "c2,E,2020-01-01 00:00,x\n"
+    )
+    log = read_log_csv(str(path))
+    # rows sort by minute; equal minutes and equal attributes never reorder rows
+    assert [e.activity for e in log.base.events] == ["B", "A", "E", "C", "D"]
+    assert [e.index for e in log.base.events] == [1, 2, 3, 4, 5]
+    assert [e.attributes for e in log.base.events[2:]] == [{"Note": "x"}, {"Note": "late"}, {}]
+    assert log.assignment == {1: "c2", 2: "c1", 3: "c2", 4: "c1", 5: "c3"}
+
+
 def test_partial_case_column_is_an_error(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text(
