@@ -5,10 +5,11 @@ new case.  Otherwise, open cases whose marking can reach the event's activity
 (through silent transitions) compete on the number of satisfied rules; when no
 open case can replay the activity, every existing case competes instead and the
 winner's marking stays untouched, recording the event as a deviation.  Score
-ties are broken uniformly at random.  The decoder indexes its open cases, in
-opening order, so the search for a fitting case costs the cases in flight, not
-every case ever opened; ``StreamDecoder._advance`` is the one place that keeps
-that index in step with the cases' ``closed`` flags.
+ties are broken uniformly at random.  The decoder keeps its cases in one dict
+in opening order, and indexes the open ones, also in opening order, so the
+search for a fitting case costs the cases in flight, not every case ever
+opened; ``StreamDecoder._advance`` is the one place that keeps that index in
+step with the cases' ``closed`` flags.
 
 The annealer keeps a population of candidate correlations.  A neighbor keeps a
 prefix of the stream's assignments and re-decodes the suffix; the cut point is
@@ -34,12 +35,13 @@ case ids of the events assigned differently; a neighbour keeps its parent's
 assignment before the cut, so only the suffix is compared.  A changed case's
 events are read from the decoder's run, not regrouped from the stream.  A
 candidate's totals are its parent's, minus the old contributions of the
-changed cases, plus their new ones; evaluating from scratch is the same code
-with every case changed.  The totals are integers: ``fa`` itself, the cases'
-violated/triggered shares times lcm(1..|rules|) for ``fr``, and the count, sum
-and sum of squares of the durations per activity for ``ft``.  So ``fr`` and
-``ft`` are exact values rounded to a float once, whatever the order of the
-cases.
+changed cases, plus their new ones.  Only a decoder's proposal given a parent
+that keeps runs is evaluated so; anything else is evaluated from scratch,
+which is the same code with every case changed.  The totals are integers:
+``fa`` itself, the cases' violated/triggered shares times lcm(1..|rules|) for
+``fr``, and the count, sum and sum of squares of the durations per activity
+for ``ft``.  So ``fr`` and ``ft`` are exact values rounded to a float once,
+whatever the order of the cases.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence, ValuesView
 
 from .model import Event, EventLog, InputError, UncorrelatedLog, correlate
 from .rules import (
@@ -205,9 +207,11 @@ class Proposal(dict[int, str]):
 class StreamDecoder:
     """Feeds events one by one and accumulates an index -> case assignment.
 
-    ``open_runs`` indexes the open cases: it holds exactly the runs of
-    ``order`` whose ``closed`` is False, in opening order.  ``open_case`` adds
-    to it and ``_advance`` keeps it in step; nothing else changes ``closed``.
+    ``cases`` holds the runs by case id in opening order; it is the one record
+    of them, and a run swapped for its copy keeps its place.  ``open_runs``
+    indexes the open cases: it holds exactly the runs of ``cases`` whose
+    ``closed`` is False, in opening order.  ``open_case`` adds to both and
+    ``_advance`` keeps the index in step; nothing else changes ``closed``.
     A restore by :func:`replay_prefix` builds runs and the index afresh.
 
     ``assignment`` is a :class:`Proposal` whose ``runs`` are ``cases``.
@@ -236,14 +240,13 @@ class StreamDecoder:
         )
         self.initial = net.initial
         self.cases: dict[str, CaseRun] = {}
-        self.order: list[CaseRun] = []
         self.open_runs: dict[str, CaseRun] = {}
         self.assignment = Proposal(self.cases)
         self.opened = self.fitted = self.deviations = self.ties_drawn = self.scanned = 0
 
     def open_case(self, case_id: str | None = None) -> CaseRun:
         if case_id is None:
-            n = len(self.order) + 1
+            n = len(self.cases) + 1
             while f"c{n}" in self.cases:
                 n += 1
             case_id = f"c{n}"
@@ -251,9 +254,17 @@ class StreamDecoder:
             raise InputError(f"case id {case_id} already open")
         run = CaseRun(case_id=case_id, node=self.initial)
         self.cases[case_id] = run
-        self.order.append(run)
         self.open_runs[case_id] = run
         return run
+
+    @property
+    def order(self) -> ValuesView[CaseRun]:
+        """The runs in opening order, a read-only view of ``cases``.
+
+        Kept only because ``perfbench/tracer.py:_cases_scanned`` reads
+        ``len(decoder.order)``; ROADMAP item 1 retires it.
+        """
+        return self.cases.values()
 
     def _advance(self, run: CaseRun, activity: str) -> bool:
         """Replay ``activity`` in the case's marking if reachable; update closed.
@@ -261,7 +272,7 @@ class StreamDecoder:
         This is the only place ``closed`` changes, so it keeps ``open_runs``
         in step: a run that closes leaves the index, and a closed run that
         reopens (``replay_prefix`` can advance a case out of a marking that is
-        final yet still enables a labelled move) rebuilds it from ``order``,
+        final yet still enables a labelled move) rebuilds it from ``cases``,
         so the index keeps opening order.
         """
         nxt = run.node.moves(self.marking_budget).get(activity)
@@ -274,14 +285,13 @@ class StreamDecoder:
             if closed:
                 del self.open_runs[run.case_id]
             else:
-                self.open_runs = {r.case_id: r for r in self.order if not r.closed}
+                self.open_runs = {r.case_id: r for r in self.cases.values() if not r.closed}
         return True
 
     def _own(self, run: CaseRun) -> CaseRun:
         """Swap a closed ``run``, which may be shared with another decode, for a copy."""
         copy = CaseRun(run.case_id, run.node, run.events.copy(), run.closed, run.diverged)
-        self.cases[run.case_id] = copy
-        self.order[self.order.index(run)] = copy  # runs compare by identity
+        self.cases[run.case_id] = copy  # a stored key keeps its place in opening order
         return copy
 
     def _pick(self, candidates: Sequence[CaseRun], event: Event) -> CaseRun:
@@ -321,11 +331,11 @@ class StreamDecoder:
                 self.fitted += 1
                 chosen = self._pick(fitting, event)
                 self._advance(chosen, event.activity)
-            elif self.order:
+            elif self.cases:
                 # No case can replay the activity: every case competes and the
                 # winner absorbs the event without moving its marking.
                 self.deviations += 1
-                chosen = self._pick(self.order, event)
+                chosen = self._pick(list(self.cases.values()), event)
                 if chosen.closed:
                     chosen = self._own(chosen)
                     # only a closed winner can enable it; its closure is walked: this cannot raise
@@ -358,12 +368,13 @@ def replay_prefix(
     leaves the marking unchanged (same reading as decoder scenario 3).
 
     An individual that keeps its decoder's runs is restored, not replayed:
-    its cases come in order of first event, each case whose events all
-    precede ``cut`` takes its run's marking, and only a case that straddles
-    ``cut`` or diverged is replayed from its events.  Such a closed run is
-    taken as it is, the same object, and an open one is copied, since its
-    node moves on; the decoder copies a closed run before it writes to it,
-    so the individual's runs never change.  So the restore raises
+    its runs come in opening order, which is the order of first events, and
+    are stored into ``decoder.cases`` in that order.  Each case whose events
+    all precede ``cut`` takes its run's marking, and only a case that
+    straddles ``cut`` or diverged is replayed from its events.  Such a closed
+    run is taken as it is, the same object, and an open one is copied, since
+    its node moves on; the decoder copies a closed run before it writes to
+    it, so the individual's runs never change.  So the restore raises
     BudgetExceeded exactly when the replay would.  An assignment, or an
     individual without runs, is replayed event by event; that replay is the
     reference the restore is checked against.  Given an individual, the
@@ -384,7 +395,7 @@ def replay_prefix(
             run.events.append(event)
             decoder.assignment[event.index] = case_id
         return
-    cases, order = decoder.cases, decoder.order
+    cases = decoder.cases
     for kept in runs.values():  # in opening order, which is the order of first events
         if kept.events[0].index >= cut:
             break
@@ -398,11 +409,9 @@ def replay_prefix(
                 run.events.append(event)
         elif kept.closed:  # shared: a decode copies a closed run before it writes to it
             cases[case_id] = kept
-            order.append(kept)
         else:  # an open run's node moves on
-            run = cases[case_id] = CaseRun(case_id, kept.node, kept.events.copy())
-            order.append(run)
-    decoder.open_runs = {run.case_id: run for run in order if not run.closed}
+            cases[case_id] = CaseRun(case_id, kept.node, kept.events.copy())
+    decoder.open_runs = {run.case_id: run for run in cases.values() if not run.closed}
     decoder.assignment.update(islice(assignment.items(), cut - 1))
 
 
@@ -452,47 +461,15 @@ def time_variance(log: EventLog) -> float:
     return _variance(_log_durations(log))
 
 
-def _changed_cases(
-    stream: UncorrelatedLog,
-    before: Mapping[int, str],
-    cases: Mapping[str, CaseEnergy],
-    assignment: Mapping[int, str],
-    cut: int,
-) -> dict[str, tuple[Event, ...]]:
-    """New events of each case whose set of events differs between two assignments.
-
-    The assignments agree on the events before 1-based ``cut``.  The changed
-    cases are exactly the old and new case ids of the events they assign
-    differently.  ``cases`` holds the cases of ``before``; a case that is gone
-    gets no events.
-    """
-    gained: dict[str, list[int]] = {}
-    suffix = range(cut, len(stream) + 1)
-    for index, case_id, old_id in zip(
-        suffix, map(assignment.__getitem__, suffix), map(before.__getitem__, suffix)
-    ):
-        if case_id != old_id:
-            gained.setdefault(case_id, []).append(index)
-            gained.setdefault(old_id, [])
-    events = stream.events
-    changed = {}
-    for case_id, indices in gained.items():
-        old = cases.get(case_id)
-        if old is not None:
-            indices += [i for i in old.indices if assignment[i] == case_id]
-        changed[case_id] = tuple([events[i - 1] for i in sorted(indices)])
-    return changed
-
-
 def _changed_runs(
     proposal: Proposal, before: Mapping[int, str], cut: int
 ) -> dict[str, tuple[Event, ...]]:
-    """What :func:`_changed_cases` finds, read from the proposal's runs.
+    """Each case whose set of events differs between two assignments, with its new events.
 
     Both assignments list the events in stream order and agree before
-    ``cut``.  The changed cases are the new and the old id of each event from
-    ``cut`` on that the two assign differently, in that order; each gets its
-    run's events, and a case that is gone gets none.
+    ``cut``, so the changed cases are the new and the old id of each event
+    from ``cut`` on that the two assign differently, in that order.  Each
+    gets its run's events, and a case that is gone gets none.
     """
     new_ids = list(islice(proposal.values(), cut - 1, None))
     old_ids = list(islice(before.values(), cut - 1, None))
@@ -519,19 +496,17 @@ def evaluate_individual(
 ) -> Individual:
     """Build the correlated log and its energy triple; ``verdicts`` is ``case_verdicts``' memo.
 
-    Without ``current``, or with one built by hand, every case is evaluated:
-    a plain mapping is checked to partition the stream, and a
-    :class:`Proposal`'s cases are its ``runs``.  Otherwise ``assignment``
-    must be a partition, as the decoder's are: only the cases whose events
-    differ from ``current``'s are evaluated, and the totals are
-    ``current``'s minus their old contributions plus their new ones.  Both
-    ways give exactly the same totals.  A :class:`Proposal` from
-    :func:`neighbor` must be given the individual it was proposed from: the
-    two are compared only from the proposal's ``cut`` on, and if that
-    individual keeps runs, the changed cases' events are read from the
-    proposal's runs.  A plain mapping, or an individual without runs, takes
-    the reference path, which groups the cases from the stream.  The
-    individual keeps a proposal's ``runs``.
+    A :class:`Proposal` given a ``current`` that keeps runs is evaluated by
+    delta: only the cases whose events differ from ``current``'s are
+    evaluated, and the totals are ``current``'s minus their old
+    contributions plus their new ones.  Such a proposal must be decoded
+    from scratch or restored from ``current`` by :func:`replay_prefix`: the
+    two assignments are compared only from the proposal's ``cut`` on, and
+    the changed cases' events are read from the proposal's runs.  Every
+    other call is evaluated from scratch: a plain mapping is checked by
+    :func:`correlate` to partition the stream, and a proposal's cases are
+    its runs.  Both ways give exactly the same totals.  The individual keeps
+    a proposal's ``runs``.
 
     With a ``cache``, each changed case's alignment cost is looked up there.
     A call without a cache searches every trace with :func:`align_trace`,
@@ -540,24 +515,20 @@ def evaluate_individual(
     it checks a proposal's runs against the stream too.
     """
     config = config or AnnealerConfig()
-    runs, cut = (assignment.runs, assignment.cut) if isinstance(assignment, Proposal) else (None, 1)
-    if current is None or current.cases is None:
-        cases: dict[str, CaseEnergy] = {}
-        fa, violations, durations = 0, 0, {}
-        if runs is None:
-            log = correlate(stream, assignment)
-            changed = {case.case_id: case.events for case in log.cases}
-        else:
-            log = EventLog(base=stream, assignment=assignment)  # unchecked; cases built on demand
-            changed = {case_id: tuple(run.events) for case_id, run in runs.items()}
+    runs = assignment.runs if isinstance(assignment, Proposal) else None
+    cases: dict[str, CaseEnergy] = {}
+    fa, violations, durations = 0, 0, {}
+    if runs is None:
+        log = correlate(stream, assignment)
+        changed = {case.case_id: case.events for case in log.cases}
     else:
         log = EventLog(base=stream, assignment=assignment)  # unchecked; cases built on demand
-        cases = dict(current.cases)
-        fa, violations, durations = current.fa, current.violations, dict(current.durations)
-        if runs is None or current.runs is None:
-            changed = _changed_cases(stream, current.assignment, current.cases, assignment, cut)
+        if current is None or current.runs is None:
+            changed = {case_id: tuple(run.events) for case_id, run in runs.items()}
         else:
-            changed = _changed_runs(assignment, current.assignment, cut)
+            cases = dict(current.cases)
+            fa, violations, durations = current.fa, current.violations, dict(current.durations)
+            changed = _changed_runs(assignment, current.assignment, assignment.cut)
     scale = violation_scale(rules)
     for case_id, events in changed.items():
         old = cases.pop(case_id, None)
@@ -646,16 +617,14 @@ def _decoder_state(decoder: StreamDecoder) -> tuple:
     """Each run's id, node, closed flag and events in opening order, the ids of
     the open-case index, and the assignment's items in order.
 
-    Nodes compare by identity.  The case and open-case indexes must hold the
-    very runs of ``order``, or this raises AssertionError.
+    Nodes compare by identity.  The open-case index must hold the very runs
+    of ``cases``, or this raises AssertionError.
     """
-    cases, runs = decoder.cases, decoder.order
-    if len(cases) != len(runs) or any(cases.get(run.case_id) is not run for run in runs) or any(
-        cases.get(case_id) is not run for case_id, run in decoder.open_runs.items()
-    ):
-        raise AssertionError("the decoder's case indexes do not hold its runs")
+    cases = decoder.cases
+    if any(cases.get(case_id) is not run for case_id, run in decoder.open_runs.items()):
+        raise AssertionError("the decoder's open-case index does not hold its runs")
     return (
-        [(run.case_id, run.node, run.closed, run.events) for run in runs],
+        [(run.case_id, run.node, run.closed, run.events) for run in cases.values()],
         list(decoder.open_runs),
         list(decoder.assignment.items()),
     )

@@ -72,8 +72,16 @@ def format_timestamp(minutes: int, fmt: str = DEFAULT_TIMESTAMP_FORMAT) -> str:
 
 
 def _parse_attribute(text: str) -> Scalar:
-    number = parse_int(text.strip())
-    return text if number is None else number
+    """An int where the stripped cell is how ``str`` writes it, else text.
+
+    Another integer spelling (``007``, ``-0``) keeps its stripped text, so a
+    read and write leaves it as it was; the rules still read it as that int.
+    """
+    stripped = text.strip()
+    number = parse_int(stripped)
+    if number is None:
+        return text
+    return number if str(number) == stripped else stripped
 
 
 def read_log_csv(path: str, schema: LogFileSchema | None = None) -> UncorrelatedLog | EventLog:

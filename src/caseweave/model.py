@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[str, int]
@@ -139,9 +140,11 @@ def correlate(base: UncorrelatedLog, assignment: Mapping[int, str]) -> EventLog:
     missing = [e.index for e in base.events if e.index not in assignment]
     if missing:
         raise InputError(f"assignment misses event indices {missing[:5]}")
-    extra = sorted(set(assignment) - {e.index for e in base.events})
+    indices = {e.index for e in base.events}
+    # in the assignment's order: unknown keys of different types need not compare
+    extra = list(islice((key for key in assignment if key not in indices), 5))
     if extra:
-        raise InputError(f"assignment names unknown event indices {extra[:5]}")
+        raise InputError(f"assignment names unknown event indices {extra}")
     for idx, cid in assignment.items():
         if not isinstance(cid, str) or not cid:
             raise InputError(f"event {idx}: case id must be a non-empty string")

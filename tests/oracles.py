@@ -17,7 +17,9 @@ scan, sharing only the duration default and the step cap.  The exception is
 replaced, kept to pin its settle order.  It walks the package's marking table
 and shares ``_walk_back``.  ``build_uncorrelated_log_reference`` is the stream
 builder as it was before it sorted without a key, kept to pin its events and
-its errors.
+its errors.  ``changed_cases_reference`` regroups the cases a proposal
+changed from the two assignments, where the annealer reads them from the
+decoder's runs.
 """
 
 from __future__ import annotations
@@ -886,6 +888,27 @@ def decoder_reference(
     decoder = DecoderReference(net, rules, rng, start_activity)
     replay_prefix_reference(decoder, stream, assignment or {}, cut)
     return decoder.run(stream.events[cut - 1 :])
+
+
+def changed_cases_reference(
+    stream: UncorrelatedLog, before: dict[int, str], assignment: dict[int, str], cut: int
+) -> dict[str, tuple[Event, ...]]:
+    """New events of each case whose set of events differs between two assignments.
+
+    The assignments agree on the events before 1-based ``cut``, so the changed
+    cases are the new and the old id of each later event that the two assign
+    differently, in that order.  Each gets the events ``assignment`` gives it,
+    in stream order; a case that is gone gets none.
+    """
+    changed: dict[str, None] = {}
+    for event in stream.events[cut - 1 :]:
+        new, old = assignment[event.index], before[event.index]
+        if new != old:
+            changed.update(dict.fromkeys((new, old)))
+    return {
+        case_id: tuple(e for e in stream.events if assignment[e.index] == case_id)
+        for case_id in changed
+    }
 
 
 def random_decoder_instance(

@@ -42,6 +42,7 @@ from oracles import (
     DecoderReference,
     OracleBudget,
     brute_force_alignment_cost,
+    changed_cases_reference,
     decoder_reference,
     random_decoder_instance,
     replay_prefix_reference,
@@ -168,11 +169,26 @@ def test_run_with_the_reference_decoder_swapped_in(monkeypatch):
 
 
 class IndexCheckingDecoder(StreamDecoder):
-    """Counts reopened cases and draws; checks the open-case index after each step."""
+    """Counts reopened cases and draws; checks both case indexes after each step.
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    A :class:`DecoderReference` with its own RNG, seeded alike, steps beside
+    it: the two choose the same case, and the decoder's ``cases`` keep the
+    reference's opening order.
+    """
+
+    def __init__(self, net, rules, rng):
+        super().__init__(net, rules, rng)
+        self.reference = DecoderReference(net, rules, random.Random(), "S")
+        self.reference.rng.setstate(rng.getstate())
         self.reopened = self.draws = 0
+
+    def restore(self, stream, prior, cut):
+        """``replay_prefix`` from ``prior``, and the reference's replay of its assignment."""
+        replay_prefix(self, stream, prior, cut)
+        assignment = prior.assignment if isinstance(prior, Individual) else prior
+        replay_prefix_reference(self.reference, stream, assignment, cut)
+        assert_opening_order(self)
+        assert_open_index(self)
 
     def _advance(self, run, activity):
         was_closed = run.closed
@@ -189,12 +205,19 @@ class IndexCheckingDecoder(StreamDecoder):
         assert self.opened + self.fitted + self.deviations == steps + 1
         assert self.scanned - scanned <= open_before
         self.draws += self.rng.getstate() != state
+        assert case_id == self.reference.step(event)
+        assert_opening_order(self)
         assert_open_index(self)
         return case_id
 
 
+def assert_opening_order(decoder: IndexCheckingDecoder) -> None:
+    assert list(decoder.cases) == [case["id"] for case in decoder.reference.cases]
+    assert all(run.case_id == case_id for case_id, run in decoder.cases.items())
+
+
 def assert_open_index(decoder: StreamDecoder) -> None:
-    want = [run for run in decoder.order if not run.closed]
+    want = [run for run in decoder.cases.values() if not run.closed]
     assert list(decoder.open_runs) == [run.case_id for run in want]
     assert all(got is run for got, run in zip(decoder.open_runs.values(), want))
 
@@ -210,12 +233,12 @@ def test_the_open_case_index_holds_exactly_the_open_cases_in_opening_order():
         priors = [
             dict(decoder.assignment),  # a decoded partition, as a neighbour sees it
             {e.index: f"c{rng.randint(1, 4)}" for e in stream.events},  # any partition
+            evaluate_individual(stream, decoder.assignment, net, rules),  # restored from runs
         ]
         for prior in priors:
             cut = rng.randint(1, len(stream))
             decoder = IndexCheckingDecoder(net, rules, random.Random(trial))
-            replay_prefix(decoder, stream, prior, cut)
-            assert_open_index(decoder)
+            decoder.restore(stream, prior, cut)
             reopened += decoder.reopened
             for event in stream.events[cut - 1 :]:
                 decoder.step(event)
@@ -273,12 +296,11 @@ def test_replay_reopens_a_closed_case_in_its_opening_place():
 
 def assert_same_decoders(got: StreamDecoder, want: StreamDecoder) -> None:
     """Same runs (node by identity, closed, events), open-case index and assignment order."""
-    assert [run.case_id for run in got.order] == [run.case_id for run in want.order]
-    for run, other in zip(got.order, want.order):
-        assert run.node is other.node, run.case_id
-        assert (run.closed, run.events) == (other.closed, other.events), run.case_id
-    assert list(got.cases) == [run.case_id for run in got.order]
-    assert all(got.cases[run.case_id] is run for run in got.order)
+    assert list(got.cases) == list(want.cases)
+    for case_id, run in got.cases.items():
+        other = want.cases[case_id]
+        assert run.case_id == case_id and run.node is other.node, case_id
+        assert (run.closed, run.events) == (other.closed, other.events), case_id
     assert list(got.open_runs) == list(want.open_runs)
     assert_open_index(got)
     assert list(got.assignment.items()) == list(want.assignment.items())
@@ -396,9 +418,7 @@ def test_changed_cases_from_the_runs_match_the_mapping_path_at_every_cut():
                 replay_prefix(decoder, stream, parent, cut)
                 proposal = decoder.run(stream.events[cut - 1 :])
                 got = annealer_module._changed_runs(proposal, parent.assignment, cut)
-                want = annealer_module._changed_cases(
-                    stream, parent.assignment, parent.cases, proposal, cut
-                )
+                want = changed_cases_reference(stream, parent.assignment, proposal, cut)
                 assert list(got.items()) == list(want.items()), (trial, cut)
                 found += len(got)
             proposal = neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config, "S")
@@ -676,13 +696,17 @@ def test_debug_recompute_checks_the_rule_verdict_memo(demo_net, demo_rules):
 def test_debug_recompute_checks_the_delta_totals(demo_net, demo_rules):
     stream = make_demo_stream()
     config = AnnealerConfig(debug_recompute=True)
-    current = evaluate_individual(stream, dict(DEMO_X), demo_net, demo_rules)
-    proposal = dict(DEMO_X)
-    proposal[8] = "c2"  # c2 and c3 change; c1 keeps its contributions
+    # D (e8) ties between c2 and c3: Random(7) gives it to c3 and Random(1) to c2
+    current = initial_individual(stream, demo_net, demo_rules, random.Random(7))
+    decoder = StreamDecoder(demo_net, demo_rules, random.Random(1))
+    replay_prefix(decoder, stream, current, 8)
+    proposal = decoder.run(stream.events[7:])
+    assert (current.assignment[8], proposal[8]) == ("c3", "c2")  # c1 keeps its contributions
     candidate = evaluate_individual(
         stream, proposal, demo_net, demo_rules, None, config, None, current
     )
-    assert candidate.energies == evaluate_individual(stream, proposal, demo_net, demo_rules).energies
+    fresh = evaluate_individual(stream, dict(proposal), demo_net, demo_rules)
+    assert candidate.energies == fresh.energies
     assert candidate.cases["c1"] is current.cases["c1"]  # reused, not re-scored
     # a wrong total is carried over into the delta, and the rebuild shows it
     count, total, squares = current.durations["B"]
@@ -693,6 +717,18 @@ def test_debug_recompute_checks_the_delta_totals(demo_net, demo_rules):
     ):
         with pytest.raises(AssertionError, match="recomputed"):
             evaluate_individual(stream, proposal, demo_net, demo_rules, None, config, None, stale)
+
+
+def test_a_plain_mapping_given_with_current_must_partition_the_stream(demo_net, demo_rules):
+    stream = make_demo_stream()
+    current = initial_individual(stream, demo_net, demo_rules, random.Random(7))
+    missing = {i: case_id for i, case_id in DEMO_X.items() if i != 8}
+    extra = {**DEMO_X, 9: "c1"}
+    for assignment, message in ((missing, "misses event indices"), (extra, "unknown event")):
+        with pytest.raises(InputError, match=message):
+            evaluate_individual(
+                stream, assignment, demo_net, demo_rules, None, None, None, current
+            )
 
 
 def test_debug_recompute_checks_the_runs_against_the_assignment(demo_net, demo_rules):

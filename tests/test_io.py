@@ -7,18 +7,21 @@ import pytest
 
 from caseweave import (
     AnnealerConfig,
+    Case,
     EventLog,
     InputError,
     LogFileSchema,
     UncorrelatedLog,
     build_uncorrelated_log,
     correlate,
+    e_sat,
     format_timestamp,
     parse_rules,
     parse_timestamp,
     read_log_csv,
     read_pnml,
     read_rules_file,
+    vio,
     write_iteration_trace,
     write_log_csv,
     write_report,
@@ -166,6 +169,30 @@ def test_integer_looking_attributes_come_back_as_ints(tmp_path):
     assert log.events[0].attributes == {"Amount": 100, "Note": "first"}
     # empty cells vanish instead of becoming empty strings
     assert log.events[1].attributes == {"Amount": -3}
+
+
+def test_integer_spellings_survive_a_correlate_round_trip(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "activity,timestamp,K\n"
+        "A,2020-01-01 00:00,007\n"
+        "B,2020-01-01 00:30,7\n"
+        "C,2020-01-01 01:00,-0\n"
+        "D,2020-01-01 01:30,100\n"
+        "E,2020-01-01 02:00,-3\n"
+    )
+    stream = read_log_csv(str(path))
+    # only the spelling str() gives an int becomes one; the rest keep their text
+    assert [e.attributes["K"] for e in stream.events] == ["007", 7, "-0", 100, -3]
+    out = tmp_path / "out.csv"
+    write_log_csv(correlate(stream, {e.index: "c1" for e in stream.events}), str(out))
+    with open(out, newline="", encoding="utf-8") as handle:
+        assert [row["K"] for row in csv.DictReader(handle)] == ["007", "7", "-0", "100", "-3"]
+    # the rules still read 007 as 7
+    rule = parse_rules("e[i].K == e[i-1].K").rules[0]
+    first, second = stream.events[:2]
+    assert e_sat(rule, second, Case("c1", (first,))) == 1
+    assert not vio(rule, Case("c1", (first, second)))
 
 
 def test_same_minute_rows_keep_their_file_order(tmp_path):

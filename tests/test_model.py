@@ -81,6 +81,16 @@ def test_correlate_requires_a_partition():
         correlate(stream, blank)
 
 
+def test_correlate_names_unknown_keys_of_mixed_types():
+    stream = build_uncorrelated_log([("A", 0, None), ("B", 5, None)])
+    # sorting these keys would compare str with float
+    with pytest.raises(InputError, match=r"unknown event indices \['x', 3\.5\]$"):
+        correlate(stream, {1: "c1", 2: "c1", "x": "c2", 3.5: "c1"})
+    many = {1: "c1", 2: "c1", **{f"k{n}": "c1" for n in range(6)}, 9.5: "c2"}
+    with pytest.raises(InputError, match=r"\['k0', 'k1', 'k2', 'k3', 'k4'\]$"):
+        correlate(stream, many)
+
+
 def test_elapsed_time_is_gap_to_predecessor():
     log = correlate(make_demo_stream(), DEMO_TRUTH)
     c1 = log.case("c1")  # A@0, B@60, C@180
