@@ -4,15 +4,23 @@ CSV logs bind three columns (case id optional, activity, timestamp); every
 other column is an event attribute.  Timestamps are minutes since
 1970-01-01T00:00 internally; parsing uses a configurable strptime format and
 rounds sub-minute remainders half up.
+
+The default format skips ``strptime`` and ``strftime``: a row's date goes
+through one of two per-day memos (day text to its first minute, day number
+to its text), and its hour and minute are plain arithmetic.  Both memos are
+bounded and keyed by the day alone, so a log costs one date conversion per
+distinct day.  The reader looks cells up by the header's column indices and
+parses each distinct attribute text once per file.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from dataclasses import astuple, dataclass, fields
-from datetime import datetime, timedelta
-from typing import Sequence
+from datetime import date, datetime, timedelta
+from typing import Iterator, Sequence
 from xml.etree import ElementTree
 
 from .annealer import IterationRecord
@@ -39,28 +47,42 @@ class LogFileSchema:
 # DEFAULT_TIMESTAMP_FORMAT's fixed-width spelling, in ASCII digits (``\d`` takes others too).
 _DEFAULT_TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}")
 
+_EPOCH_DAY = _EPOCH.date()
+
+
+@functools.lru_cache(maxsize=1024)
+def _day_start(day: str) -> int | None:
+    """Minutes from the epoch to the start of ``YYYY-MM-DD``, or None for no such day."""
+    try:
+        return (date(int(day[:4]), int(day[5:7]), int(day[8:])) - _EPOCH_DAY).days * 1440
+    except ValueError:
+        return None
+
+
+@functools.lru_cache(maxsize=1024)
+def _day_text(days: int) -> str:
+    """The day ``days`` after the epoch as ``YYYY-MM-DD``, its year in four digits."""
+    day = _EPOCH_DAY + timedelta(days=days)
+    return f"{day.year:04d}-{day.month:02d}-{day.day:02d}"
+
 
 def parse_timestamp(text: str, fmt: str = DEFAULT_TIMESTAMP_FORMAT) -> int:
     """Wall-clock text to integer minutes; seconds of 30+ round up.
 
-    Text in the default format's fixed width is read by slicing; anything
-    else, an impossible date included, goes through ``strptime``.
+    Text in the default format's fixed width is read by slicing, its day
+    through the day memo; anything else, an impossible date or time included,
+    goes through ``strptime``.
     """
     stripped = text.strip()
-    moment = None
     if fmt == DEFAULT_TIMESTAMP_FORMAT and _DEFAULT_TIMESTAMP_RE.fullmatch(stripped):
-        try:
-            moment = datetime(
-                int(stripped[:4]), int(stripped[5:7]), int(stripped[8:10]),
-                int(stripped[11:13]), int(stripped[14:]),
-            )
-        except ValueError:
-            pass  # strptime raises with its own message
-    if moment is None:
-        try:
-            moment = datetime.strptime(stripped, fmt)
-        except ValueError as exc:
-            raise InputError(f"bad timestamp {text!r}: {exc}") from exc
+        day = _day_start(stripped[:10])
+        hour, minute = int(stripped[11:13]), int(stripped[14:])
+        if day is not None and hour < 24 and minute < 60:
+            return day + 60 * hour + minute
+    try:
+        moment = datetime.strptime(stripped, fmt)
+    except ValueError as exc:  # strptime's message names what is wrong
+        raise InputError(f"bad timestamp {text!r}: {exc}") from exc
     delta = moment - _EPOCH
     seconds = delta.days * 86400 + delta.seconds
     minutes, remainder = divmod(seconds, 60)
@@ -68,6 +90,11 @@ def parse_timestamp(text: str, fmt: str = DEFAULT_TIMESTAMP_FORMAT) -> int:
 
 
 def format_timestamp(minutes: int, fmt: str = DEFAULT_TIMESTAMP_FORMAT) -> str:
+    """Integer minutes to wall-clock text; the default format writes four-digit years."""
+    if fmt == DEFAULT_TIMESTAMP_FORMAT:
+        days, minute = divmod(minutes, 1440)
+        hour, minute = divmod(minute, 60)
+        return f"{_day_text(days)} {hour:02d}:{minute:02d}"
     return (_EPOCH + timedelta(minutes=minutes)).strftime(fmt)
 
 
@@ -84,53 +111,87 @@ def _parse_attribute(text: str) -> Scalar:
     return number if str(number) == stripped else stripped
 
 
+def _not_utf8(path: str) -> InputError:
+    """The refusal of a file that is not UTF-8, naming the line of its first bad byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        # \n, \r and \r\n each end a line, as csv counts them
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return InputError(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x}, {exc.reason}")
+    return InputError(f"{path}: not UTF-8")  # the file changed since it was read
+
+
 def read_log_csv(path: str, schema: LogFileSchema | None = None) -> UncorrelatedLog | EventLog:
     """Read a log; the case column decides correlated vs uncorrelated.
 
-    A case column that exists but is only partially filled is an error; a fully
-    empty one reads as uncorrelated.
+    Cells are found by their column's place in the header.  Blank rows are
+    skipped, a short row reads as empty cells and extra cells are ignored.
+    A case column that exists but is only partially filled is an error; a
+    fully empty one reads as uncorrelated.  A repeated column name, a byte
+    that is not UTF-8 and a bad row raise InputError naming the file and line.
     """
     schema = schema or LogFileSchema()
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for required in (schema.activity_column, schema.timestamp_column):
-            if required not in header:
-                raise InputError(f"{path}: missing column {required!r}")
-        has_case_column = schema.case_column in header
-        attribute_columns = [
-            name
-            for name in header
-            if name
-            not in (schema.case_column, schema.activity_column, schema.timestamp_column)
-        ]
-        staged: list[tuple[int, int, str, dict[str, Scalar], str]] = []
-        for row_no, row in enumerate(reader, start=2):
-            activity = (row.get(schema.activity_column) or "").strip()
-            if not activity:
-                raise InputError(f"{path}:{row_no}: missing activity")
-            raw_ts = (row.get(schema.timestamp_column) or "").strip()
-            if not raw_ts:
-                raise InputError(f"{path}:{row_no}: missing timestamp")
+    fmt = schema.timestamp_format
+    staged: list[tuple[int, int, str, dict[str, Scalar], str]] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            for required in (schema.activity_column, schema.timestamp_column):
+                if required not in header:
+                    raise InputError(f"{path}: missing column {required!r}")
+            column = {name: at for at, name in enumerate(header)}
+            if len(column) < len(header):
+                repeated = next(name for at, name in enumerate(header) if column[name] != at)
+                raise InputError(f"{path}:{reader.line_num}: column {repeated!r} is repeated")
+            activity_at = column[schema.activity_column]
+            timestamp_at = column[schema.timestamp_column]
+            case_at = column.get(schema.case_column)
+            bound = (schema.case_column, schema.activity_column, schema.timestamp_column)
+            attribute_at = [(name, at) for name, at in column.items() if name not in bound]
+            width = len(header)
+            parsed: dict[str, Scalar] = {}  # each distinct attribute text, parsed once
             try:
-                timestamp = parse_timestamp(raw_ts, schema.timestamp_format)
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) < width:
+                        row += [""] * (width - len(row))
+                    activity = row[activity_at].strip()
+                    if not activity:
+                        raise InputError("missing activity")
+                    raw_ts = row[timestamp_at].strip()
+                    if not raw_ts:
+                        raise InputError("missing timestamp")
+                    timestamp = parse_timestamp(raw_ts, fmt)
+                    attributes = {}
+                    for name, at in attribute_at:
+                        cell = row[at]
+                        if cell:
+                            value = parsed.get(cell)
+                            if value is None:
+                                value = parsed[cell] = _parse_attribute(cell)
+                            attributes[name] = value
+                    case_id = row[case_at].strip() if case_at is not None else ""
+                    staged.append((timestamp, reader.line_num, activity, attributes, case_id))
             except InputError as exc:
-                raise InputError(f"{path}:{row_no}: {exc}") from exc
-            attributes = {
-                name: _parse_attribute(row[name])
-                for name in attribute_columns
-                if row.get(name) not in (None, "")
-            }
-            case_id = (row.get(schema.case_column) or "").strip() if has_case_column else ""
-            staged.append((timestamp, row_no, activity, attributes, case_id))
+                raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+    except csv.Error as exc:
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not staged:
         raise InputError(f"{path}: empty log")
     filled = sum(1 for item in staged if item[4])
-    if has_case_column and 0 < filled < len(staged):
+    if 0 < filled < len(staged):
         raise InputError(f"{path}: case column is only partially filled ({filled}/{len(staged)})")
-    staged.sort()  # the row numbers are unique, so no tuple is compared past its row number
-    stream = build_uncorrelated_log([(act, ts, attrs) for ts, _no, act, attrs, _cid in staged])
-    if not has_case_column or filled == 0:
+    staged.sort()  # the line numbers are unique, so no tuple is compared past its line number
+    stream = build_uncorrelated_log([(act, ts, attrs) for ts, _line, act, attrs, _cid in staged])
+    if filled == 0:
         return stream
     assignment = {index: item[4] for index, item in enumerate(staged, start=1)}
     return correlate(stream, assignment)
@@ -153,17 +214,22 @@ def write_log_csv(
         schema.timestamp_column,
         *attribute_columns,
     ]
+    fmt = schema.timestamp_format
+
+    def rows() -> Iterator[list[str]]:
+        for event in stream.events:
+            row = [event.activity, format_timestamp(event.timestamp, fmt)]
+            if correlated:
+                row.insert(0, log.assignment[event.index])
+            if attribute_columns:
+                attributes = event.attributes
+                row += [str(attributes.get(name, "")) for name in attribute_columns]
+            yield row
+
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for event in stream.events:
-            row = []
-            if correlated:
-                row.append(log.assignment[event.index])
-            row.append(event.activity)
-            row.append(format_timestamp(event.timestamp, schema.timestamp_format))
-            row.extend(str(event.attributes.get(name, "")) for name in attribute_columns)
-            writer.writerow(row)
+        writer.writerows(rows())
 
 
 def _local_name(tag: str) -> str:
@@ -194,6 +260,13 @@ def read_pnml(path: str) -> WorkflowNet:
         root = ElementTree.parse(path).getroot()
     except ElementTree.ParseError as exc:
         raise InputError(f"{path}: not well-formed XML: {exc}") from exc
+
+    def count(text: str) -> int | None:
+        try:
+            return parse_int(text)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
+
     places: list[str] = []
     transitions: list[Transition] = []
     arcs: dict[tuple[str, str], None] = {}  # an ordered set
@@ -209,7 +282,7 @@ def read_pnml(path: str) -> WorkflowNet:
                 raise InputError(f"{path}: place without id")
             places.append(pid)
             marking = _child_text(element, "initialMarking")
-            if marking is not None and parse_int(marking) != 0:
+            if marking is not None and count(marking) != 0:
                 marked[pid] = marking
         elif name == "transition":
             tid = element.get("id")
@@ -222,7 +295,7 @@ def read_pnml(path: str) -> WorkflowNet:
                 raise InputError(f"{path}: arc without source/target")
             arc = element.get("id") or f"{source}->{target}"
             weight = _child_text(element, "inscription")
-            if weight is not None and parse_int(weight) != 1:
+            if weight is not None and count(weight) != 1:
                 raise InputError(f"{path}: arc {arc} has inscription {weight!r}, expected 1")
             if (source, target) in arcs:
                 raise InputError(f"{path}: arc {arc} repeats an arc from {source} to {target}")
@@ -233,7 +306,7 @@ def read_pnml(path: str) -> WorkflowNet:
         raise InputError(f"{path}: net needs at least one place and one transition")
     net = WorkflowNet(places=places, transitions=transitions, arcs=arcs)
     for pid, marking in marked.items():
-        if net._sources != (pid,) or parse_int(marking) != 1:
+        if net._sources != (pid,) or count(marking) != 1:
             raise InputError(
                 f"{path}: place {pid} has initial marking {marking!r};"
                 " only one token on the source place is supported"
@@ -242,8 +315,15 @@ def read_pnml(path: str) -> WorkflowNet:
 
 
 def read_rules_file(path: str) -> RuleSet:
-    with open(path, encoding="utf-8") as handle:
-        return parse_rules(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    try:
+        return parse_rules(text)
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_rules_file(ruleset: RuleSet, path: str) -> None:

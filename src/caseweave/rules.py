@@ -198,6 +198,12 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def number(self, tok: _Token) -> int:
+        try:
+            return parse_int(tok.text)  # type: ignore[return-value]  # an int token matches
+        except InputError as exc:
+            raise RuleSyntaxError(f"line {tok.line}, column {tok.col}: {exc}") from None
+
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
@@ -217,7 +223,7 @@ class _Parser:
         if tok.kind == "string":
             return tok.text[1:-1]
         if tok.kind == "int":
-            return int(tok.text)
+            return self.number(tok)
         return tok.text  # bare word constant reads as a string
 
     def parse_rule(self, label: str) -> Rule:
@@ -279,11 +285,11 @@ class _Parser:
     def parse_duration_tail(self, label: str, conditions: tuple[Comparison, ...]) -> EventTimeRule:
         if any(c.subject == "j" for c in conditions):
             raise self._err("duration rules may not constrain e[j]")
-        lo = int(self.take("int").text)
+        lo = self.number(self.take("int"))
         self.take("op", "<=", what="<=")
         self.take("kw", "duration", what="duration")
         self.take("op", "<=", what="<=")
-        hi = int(self.take("int").text)
+        hi = self.number(self.take("int"))
         if lo > hi:
             raise self._err(f"empty duration range [{lo}, {hi}]")
         return EventTimeRule(label=label, conditions=conditions, dur_min=lo, dur_max=hi)
@@ -392,8 +398,17 @@ _INT_RE = re.compile(r"-?\d+$")
 
 
 def parse_int(text: str) -> int | None:
-    """The integer ``text`` spells (an optional minus, then digits only), or None."""
-    return int(text) if _INT_RE.fullmatch(text) else None
+    """The integer ``text`` spells (an optional minus, then digits only), or None.
+
+    Digits past the interpreter's limit for converting text to int raise
+    InputError.
+    """
+    if not _INT_RE.fullmatch(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # text the pattern matched fails only on its length
+        raise InputError(f"integer of {len(text)} characters is too long to read") from None
 
 
 # Memoised: a stream repeats few attribute values across many comparisons.

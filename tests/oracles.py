@@ -19,22 +19,30 @@ and shares ``_walk_back``.  ``build_uncorrelated_log_reference`` is the stream
 builder as it was before it sorted without a key, kept to pin its events and
 its errors.  ``changed_cases_reference`` regroups the cases a proposal
 changed from the two assignments, where the annealer reads them from the
-decoder's runs.
+decoder's runs.  ``read_log_csv_reference`` is the log reader as it was
+before it read rows by column index: a ``csv.DictReader`` dict per row and
+``strptime`` for every timestamp.  It shares the attribute parse and the
+stream constructor with the package, and counts rows where the package
+counts lines.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
+import io
 import itertools
 import random
 from collections import Counter
+from datetime import datetime
 from fractions import Fraction
 from typing import Sequence
 
 from caseweave import (
-    Alignment, BudgetExceeded, Case, Event, EventLog, InputError, RuleSet, SimulationConfig,
-    Transition, UncorrelatedLog, WorkflowNet,
+    Alignment, BudgetExceeded, Case, Event, EventLog, InputError, LogFileSchema, RuleSet,
+    SimulationConfig, Transition, UncorrelatedLog, WorkflowNet, build_uncorrelated_log, correlate,
 )
+from caseweave.logio import DEFAULT_TIMESTAMP_FORMAT, _parse_attribute
 from caseweave.rules import (
     And,
     Comparison,
@@ -363,6 +371,138 @@ def build_uncorrelated_log_reference(records) -> UncorrelatedLog:
         Event(index=i, activity=act, timestamp=ts, attributes=attrs)
         for i, (ts, _pos, act, attrs) in enumerate(staged, start=1)
     ))
+
+
+def _timestamp_reference(text: str, fmt: str) -> int:
+    """``strptime`` alone: minutes since 1970, seconds of 30 or more rounding up."""
+    try:
+        moment = datetime.strptime(text.strip(), fmt)
+    except ValueError as exc:
+        raise InputError(f"bad timestamp {text!r}: {exc}") from exc
+    delta = moment - datetime(1970, 1, 1)
+    seconds = delta.days * 86400 + delta.seconds
+    minutes, remainder = divmod(seconds, 60)
+    return minutes + (1 if remainder >= 30 else 0)
+
+
+def read_log_csv_reference(path: str, schema: LogFileSchema | None = None):
+    """Read a log through one ``csv.DictReader`` dict per row.
+
+    A bad row is named by its count of non-blank rows, the header being 1.
+    """
+    schema = schema or LogFileSchema()
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames or []
+        for required in (schema.activity_column, schema.timestamp_column):
+            if required not in header:
+                raise InputError(f"{path}: missing column {required!r}")
+        has_case_column = schema.case_column in header
+        attribute_columns = [
+            name
+            for name in header
+            if name
+            not in (schema.case_column, schema.activity_column, schema.timestamp_column)
+        ]
+        staged = []
+        for row_no, row in enumerate(reader, start=2):
+            activity = (row.get(schema.activity_column) or "").strip()
+            if not activity:
+                raise InputError(f"{path}:{row_no}: missing activity")
+            raw_ts = (row.get(schema.timestamp_column) or "").strip()
+            if not raw_ts:
+                raise InputError(f"{path}:{row_no}: missing timestamp")
+            try:
+                timestamp = _timestamp_reference(raw_ts, schema.timestamp_format)
+            except InputError as exc:
+                raise InputError(f"{path}:{row_no}: {exc}") from exc
+            attributes = {
+                name: _parse_attribute(row[name])
+                for name in attribute_columns
+                if row.get(name) not in (None, "")
+            }
+            case_id = (row.get(schema.case_column) or "").strip() if has_case_column else ""
+            staged.append((timestamp, row_no, activity, attributes, case_id))
+    if not staged:
+        raise InputError(f"{path}: empty log")
+    filled = sum(1 for item in staged if item[4])
+    if has_case_column and 0 < filled < len(staged):
+        raise InputError(f"{path}: case column is only partially filled ({filled}/{len(staged)})")
+    staged.sort(key=lambda item: (item[0], item[1]))
+    stream = build_uncorrelated_log([(act, ts, attrs) for ts, _no, act, attrs, _cid in staged])
+    if not has_case_column or filled == 0:
+        return stream
+    return correlate(stream, {index: item[4] for index, item in enumerate(staged, start=1)})
+
+
+# A custom timestamp format, and how a (year, month, day, hour, minute, second) reads in each.
+_CUSTOM_TIMESTAMP_FORMAT = "%d/%m/%Y %H:%M:%S"
+_TIMESTAMP_SPELLINGS = {
+    DEFAULT_TIMESTAMP_FORMAT: "{0:04d}-{1:02d}-{2:02d} {3:02d}:{4:02d}",
+    _CUSTOM_TIMESTAMP_FORMAT: "{2:02d}/{1:02d}/{0:04d} {3:02d}:{4:02d}:{5:02d}",
+}
+_ATTRIBUTE_CELLS = ["", "", " ", "  ", "007", "-0", "100", "-3", "0", "x", " y ", "a,b", 'say "hi"',
+                    "two\nlines", "\u0663"]
+
+
+def random_log_csv(rng: random.Random) -> tuple[str, str, dict[int, int]]:
+    """A log CSV's text, its timestamp format, and each data row's count -> its last line.
+
+    The header binds activity and timestamp, maybe a case column, and up to
+    three attribute columns, in a random order.  Rows repeat timestamps, may
+    be short or long, and hold blank lines between them, quoted commas and
+    line breaks, whitespace cells and integer spellings.  The case column is
+    full, empty or partial; now and then a row has no activity or a bad
+    timestamp.  The counts are those ``read_log_csv_reference`` names rows by.
+    """
+    fmt = rng.choice(list(_TIMESTAMP_SPELLINGS))
+    case_mode = rng.choice(["none", "full", "empty", "partial"])
+    columns = ["activity", "timestamp"] + rng.sample(["K", "Note", "Res"], rng.randint(0, 3))
+    if case_mode != "none":
+        columns.append("case_id")
+    rng.shuffle(columns)
+    moments = [
+        (rng.choice([1, 999, 1970, 2020, 9999]), rng.randint(1, 12), rng.randint(1, 28),
+         rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59))
+        for _ in range(rng.randint(1, 4))
+    ]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    line = out.getvalue().count("\n")
+    last_line: dict[int, int] = {}
+    for row_no in range(2, rng.randint(1, 12) + 2):
+        while rng.random() < 0.15:
+            out.write("\n")
+            line += 1
+        cells = []
+        for name in columns:
+            if name == "activity":
+                cell = rng.choice(["A", "B", " C ", "D"]) if rng.random() > 0.03 else " "
+            elif name == "timestamp":
+                cell = _TIMESTAMP_SPELLINGS[fmt].format(*rng.choice(moments))
+                if rng.random() < 0.03:
+                    cell = rng.choice(["soon", "2020-13-01 00:00", "", "31/02/2020 00:00:00"])
+                elif rng.random() < 0.1:
+                    cell = f" {cell}\t"
+            elif name == "case_id":
+                full = case_mode == "full" or (case_mode == "partial" and rng.random() < 0.7)
+                cell = rng.choice(["c1", "c2", " c3 "]) if full else ""
+            else:
+                cell = rng.choice(_ATTRIBUTE_CELLS)
+            cells.append(cell)
+        roll = rng.random()
+        if roll < 0.1:
+            cells = cells[: rng.randrange(1, len(cells) + 1)]
+        elif roll < 0.2:
+            cells += rng.choice([[""], ["extra"], ["1", "two"]])
+        start = out.tell()
+        writer.writerow(cells)
+        line += out.getvalue()[start:].count("\n")
+        last_line[row_no] = line
+    if rng.random() < 0.2:
+        out.write("\n")
+    return out.getvalue(), fmt, last_line
 
 
 def simulate_case_reference(

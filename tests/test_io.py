@@ -1,6 +1,8 @@
 """CSV/PNML/rule-file round trips and the command line."""
 
 import csv
+import re
+from collections import Counter
 from datetime import datetime, timedelta
 
 import pytest
@@ -41,6 +43,7 @@ from conftest import (
     make_loop_net,
     seeded_rng,
 )
+from oracles import random_log_csv, read_log_csv_reference
 
 CLAIMS_FORMAT = "%d/%m/%Y %H:%M"
 
@@ -121,6 +124,22 @@ def test_the_default_format_reads_as_strptime_reads_it():
             assert str(raised.value) == want, text
             failed += 1
     assert parsed >= 1000 and failed >= 1000
+
+
+def test_default_timestamps_round_trip_in_every_year():
+    assert format_timestamp(parse_timestamp("0001-01-01 00:00")) == "0001-01-01 00:00"
+    last = parse_timestamp("9999-12-31 23:59")
+    rng = seeded_rng("years")
+    for _ in range(3000):
+        year = rng.randint(1, 9999)
+        minute = min(parse_timestamp(f"{year:04d}-01-01 00:00") + rng.randrange(366 * 1440), last)
+        text = format_timestamp(minute)
+        assert parse_timestamp(text) == minute, text
+        moment = datetime(1970, 1, 1) + timedelta(minutes=minute)
+        if moment.year >= 1000:
+            assert text == moment.strftime(DEFAULT_TIMESTAMP_FORMAT)
+        else:
+            assert text.startswith(f"{moment.year:04d}-"), text
 
 
 # --- log CSV ------------------------------------------------------------------
@@ -248,6 +267,44 @@ def test_bad_rows_name_their_line(tmp_path):
     assert ":3:" in str(info.value)  # errors carry file:row locations
 
 
+def test_bad_rows_name_their_line_past_blank_lines(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text("activity,timestamp\nA,2020-01-01 00:00\n\n\nB,bad\n")
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}:5: bad timestamp 'bad'"):
+        read_log_csv(str(path))
+
+
+def test_the_log_reader_reads_as_the_reference_reads(tmp_path):
+    path = tmp_path / "log.csv"
+    outcomes = Counter()
+    for trial in range(600):
+        text, fmt, last_line = random_log_csv(seeded_rng("log csv", trial))
+        path.write_text(text, encoding="utf-8", newline="")
+        schema = LogFileSchema(timestamp_format=fmt)
+        try:
+            want = read_log_csv_reference(str(path), schema)
+        except InputError as exc:
+            # the reference counts rows; the reader names the line a row ends on
+            message = re.sub(
+                r"^(.*?):(\d+): ", lambda m: f"{m[1]}:{last_line[int(m[2])]}: ", str(exc)
+            )
+            with pytest.raises(InputError) as raised:
+                read_log_csv(str(path), schema)
+            assert str(raised.value) == message, text
+            outcomes[re.sub(r"^.*?: (\w+ \w+).*", r"\1", message)] += 1
+            continue
+        got = read_log_csv(str(path), schema)
+        assert type(got) is type(want), text
+        if isinstance(want, EventLog):
+            assert got.base.events == want.base.events, text
+            assert got.assignment == want.assignment, text
+        else:
+            assert got.events == want.events, text
+        outcomes[type(want).__name__, fmt] += 1
+    # both formats read to both kinds of log, and each refusal comes up
+    assert len(outcomes) == 8 and min(outcomes.values()) >= 20, outcomes
+
+
 def test_attribute_columns_must_not_shadow_bound_columns(tmp_path):
     from caseweave import build_uncorrelated_log
 
@@ -328,6 +385,8 @@ def test_pnml_reads_unit_inscriptions_and_one_source_token(tmp_path):
          "</place>", "place q3"),
         # two parallel arcs would be one arc of weight 2, not two of weight 1
         ('<arc id="a9"', '<arc id="a11" source="t1" target="q2"/><arc id="a9"', "arc a11"),
+        ('target="t1"/>', 'target="t1"><inscription><text>' + "9" * 5000
+         + "</text></inscription></arc>", r"net\.pnml: integer of 5000 characters"),
     ],
 )
 def test_pnml_rejects_weights_and_markings_it_would_misread(tmp_path, old, new, named):
@@ -564,6 +623,41 @@ def test_cli_exit_codes(workspace, capsys):
     ])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, refusal",
+    [
+        (b"activity,timestamp,activity\nA,2020-01-01 00:00,B\n", ":1: column 'activity' is repeated"),
+        (b"activity,timestamp,K\nA,2020-01-01 00:00,x\r\n\nB,2020-01-01 00:30,\xff\n",
+         ":4: not UTF-8: byte 0xff"),
+        (b"activity,timestamp,K\nA,2020-01-01 00:00,1\nB,2020-01-01 00:30," + b"9" * 5000,
+         ":3: integer of 5000 characters is too long"),
+    ],
+    ids=["repeated column", "not utf-8", "5000 digits"],
+)
+def test_cli_refuses_logs_it_would_misread(workspace, capsys, content, refusal):
+    log = workspace / "odd.csv"
+    log.write_bytes(content)
+    argv = ["--log", str(log), "--out", str(workspace / "o.csv")]
+    assert main(["correlate", *argv, "--model", str(workspace / "demo.pnml")]) == 1
+    assert main(["strip", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"caseweave: {log}{refusal}") == 2, err
+
+
+def test_cli_check_rules_refusals_name_the_file_and_line(workspace, capsys):
+    rules = workspace / "long.txt"
+    long = "9" * 5000
+    for line, column in [(f"IF e[i].Amount > {long} THEN 1 <= duration <= 2", 18),
+                         (f'IF e[i].Act == "B" THEN 30 <= duration <= {long}', 43)]:
+        rules.write_text(f"e[i].Type == e[i-1].Type\n{line}\n")
+        assert main(["check-rules", "--rules", str(rules)]) == 1
+        err = capsys.readouterr().err
+        assert f"caseweave: {rules}: line 2, column {column}: integer of 5000 characters" in err
+    rules.write_bytes(b'e[i].Type == e[i-1].Type\nIF e[i].Act == "\xe9" THEN 1 <= duration <= 2\n')
+    assert main(["check-rules", "--rules", str(rules)]) == 1
+    assert f"caseweave: {rules}:2: not UTF-8: byte 0xe9" in capsys.readouterr().err
 
 
 def test_cli_rejects_a_bad_tau_init_before_reading_the_net(workspace, capsys):
