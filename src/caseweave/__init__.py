@@ -24,7 +24,6 @@ from .annealer import (
     time_variance,
 )
 from .logio import (
-    LogFileSchema,
     format_timestamp,
     parse_timestamp,
     read_log_csv,
@@ -65,15 +64,11 @@ from .rules import (
     RuleDiagnostics,
     RuleSet,
     RuleSyntaxError,
-    e_sat,
-    e_vio,
     parse_rules,
     pretty_rules,
     rule_cost,
     score,
     score_each,
-    trigger,
-    vio,
 )
 from .simulate import SimulationConfig, estimate_cycle_time, simulate_case, simulate_log
 from .wfnet import (

@@ -13,7 +13,6 @@ from fractions import Fraction
 from .annealer import AnnealerConfig, run
 from .logio import (
     DEFAULT_TIMESTAMP_FORMAT,
-    LogFileSchema,
     read_log_csv,
     read_pnml,
     read_rules_file,
@@ -56,10 +55,6 @@ def _duration_spec(text: str) -> tuple[str, int, int]:
     return activity, mean, jitter
 
 
-def _schema(args: argparse.Namespace) -> LogFileSchema:
-    return LogFileSchema(timestamp_format=args.timestamp_format)
-
-
 def _require_correlated(log: EventLog | UncorrelatedLog, path: str) -> EventLog:
     if not isinstance(log, EventLog):
         raise InputError(f"{path}: expected a correlated log with a case column")
@@ -75,8 +70,7 @@ def _load_net(path: str, marking_budget: int = DEFAULT_MARKING_BUDGET):
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    schema = _schema(args)
-    log = read_log_csv(args.log, schema)
+    log = read_log_csv(args.log, args.timestamp_format)
     if isinstance(log, EventLog):
         print(f"note: {args.log} already has case ids; they are ignored", file=sys.stderr)
         stream = strip_case_ids(log)
@@ -94,7 +88,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     net = _load_net(args.model, config.marking_budget)
     rules = read_rules_file(args.rules) if args.rules else RuleSet(rules=())
     result = run(stream, net, rules, config)
-    write_log_csv(result.best.log, args.out, schema)
+    write_log_csv(result.best.log, args.out, args.timestamp_format)
     if args.trace_out:
         write_iteration_trace(result.records, args.trace_out)
     best = result.best
@@ -106,9 +100,9 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    schema = _schema(args)
-    original = _require_correlated(read_log_csv(args.original, schema), args.original)
-    generated = _require_correlated(read_log_csv(args.generated, schema), args.generated)
+    fmt = args.timestamp_format
+    original = _require_correlated(read_log_csv(args.original, fmt), args.original)
+    generated = _require_correlated(read_log_csv(args.generated, fmt), args.generated)
     report = evaluate(original, generated)
     sys.stdout.write(report.to_text())
     if args.out:
@@ -125,8 +119,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         durations={activity: (mean, jitter) for activity, mean, jitter in args.duration},
     )
     log = simulate_log(net, config)
-    schema = _schema(args)
-    write_log_csv(strip_case_ids(log) if args.strip else log, args.out, schema)
+    write_log_csv(strip_case_ids(log) if args.strip else log, args.out, args.timestamp_format)
     kind = "uncorrelated" if args.strip else "correlated"
     print(f"simulated {len(log)} events in {len(log.cases)} cases ({kind}) -> {args.out}")
     return 0
@@ -139,9 +132,8 @@ def _cmd_check_rules(args: argparse.Namespace) -> int:
 
 
 def _cmd_strip(args: argparse.Namespace) -> int:
-    schema = _schema(args)
-    log = _require_correlated(read_log_csv(args.log, schema), args.log)
-    write_log_csv(strip_case_ids(log), args.out, schema)
+    log = _require_correlated(read_log_csv(args.log, args.timestamp_format), args.log)
+    write_log_csv(strip_case_ids(log), args.out, args.timestamp_format)
     print(f"stripped case ids from {len(log)} events -> {args.out}")
     return 0
 

@@ -1,9 +1,10 @@
 """File formats: event log CSV, PNML nets, rule files, run traces, reports.
 
-CSV logs bind three columns (case id optional, activity, timestamp); every
-other column is an event attribute.  Timestamps are minutes since
-1970-01-01T00:00 internally; parsing uses a configurable strptime format and
-rounds sub-minute remainders half up.
+CSV logs bind three fixed columns (``case_id``, optional, then ``activity`` and
+``timestamp``); every other column is an event attribute.  Timestamps are
+minutes since 1970-01-01T00:00 internally; parsing uses a configurable strptime
+format and rounds sub-minute remainders half up.  Writing puts every ``%Y`` year
+in four digits, so years 1 to 9999 read back in any format.
 
 The default format skips ``strptime`` and ``strftime``: a row's date goes
 through one of two per-day memos (day text to its first minute, day number
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import functools
 import re
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, fields
 from datetime import date, datetime, timedelta
 from typing import Iterator, Sequence
 from xml.etree import ElementTree
@@ -31,17 +32,13 @@ from .wfnet import Transition, WorkflowNet
 
 DEFAULT_TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
 
+# The bound columns of a log CSV; every other column is an event attribute.
+CASE_COLUMN = "case_id"
+ACTIVITY_COLUMN = "activity"
+TIMESTAMP_COLUMN = "timestamp"
+_BOUND = (CASE_COLUMN, ACTIVITY_COLUMN, TIMESTAMP_COLUMN)
+
 _EPOCH = datetime(1970, 1, 1)
-
-
-@dataclass(frozen=True)
-class LogFileSchema:
-    """Column binding for log CSV files; unlisted columns become attributes."""
-
-    case_column: str = "case_id"
-    activity_column: str = "activity"
-    timestamp_column: str = "timestamp"
-    timestamp_format: str = DEFAULT_TIMESTAMP_FORMAT
 
 
 # DEFAULT_TIMESTAMP_FORMAT's fixed-width spelling, in ASCII digits (``\d`` takes others too).
@@ -89,26 +86,29 @@ def parse_timestamp(text: str, fmt: str = DEFAULT_TIMESTAMP_FORMAT) -> int:
     return minutes + (1 if remainder >= 30 else 0)
 
 
+# A %Y directive, or an escaped % that keeps a following Y literal.
+_YEAR_OR_PERCENT = re.compile(r"%[%Y]")
+
+
 def format_timestamp(minutes: int, fmt: str = DEFAULT_TIMESTAMP_FORMAT) -> str:
-    """Integer minutes to wall-clock text; the default format writes four-digit years."""
+    """Integer minutes to wall-clock text; ``%Y`` writes the year in four digits."""
     if fmt == DEFAULT_TIMESTAMP_FORMAT:
         days, minute = divmod(minutes, 1440)
         hour, minute = divmod(minute, 60)
         return f"{_day_text(days)} {hour:02d}:{minute:02d}"
-    return (_EPOCH + timedelta(minutes=minutes)).strftime(fmt)
+    moment = _EPOCH + timedelta(minutes=minutes)
+    year = f"{moment.year:04d}"  # strftime writes year 5 as 5, which strptime's %Y refuses
+    return moment.strftime(_YEAR_OR_PERCENT.sub(lambda m: year if m[0] == "%Y" else "%%", fmt))
 
 
 def _parse_attribute(text: str) -> Scalar:
-    """An int where the stripped cell is how ``str`` writes it, else text.
+    """An int where the cell is how ``str`` writes it, else the cell's text.
 
-    Another integer spelling (``007``, ``-0``) keeps its stripped text, so a
-    read and write leaves it as it was; the rules still read it as that int.
+    Another integer spelling (``007``, ``-0``, `` 7``) keeps its text, so a
+    read and write leaves it as it was; the rules still read ``007`` as 7.
     """
-    stripped = text.strip()
-    number = parse_int(stripped)
-    if number is None:
-        return text
-    return number if str(number) == stripped else stripped
+    number = parse_int(text)
+    return number if number is not None and str(number) == text else text
 
 
 def _not_utf8(path: str) -> InputError:
@@ -125,7 +125,9 @@ def _not_utf8(path: str) -> InputError:
     return InputError(f"{path}: not UTF-8")  # the file changed since it was read
 
 
-def read_log_csv(path: str, schema: LogFileSchema | None = None) -> UncorrelatedLog | EventLog:
+def read_log_csv(
+    path: str, timestamp_format: str = DEFAULT_TIMESTAMP_FORMAT
+) -> UncorrelatedLog | EventLog:
     """Read a log; the case column decides correlated vs uncorrelated.
 
     Cells are found by their column's place in the header.  Blank rows are
@@ -134,25 +136,22 @@ def read_log_csv(path: str, schema: LogFileSchema | None = None) -> Uncorrelated
     fully empty one reads as uncorrelated.  A repeated column name, a byte
     that is not UTF-8 and a bad row raise InputError naming the file and line.
     """
-    schema = schema or LogFileSchema()
-    fmt = schema.timestamp_format
     staged: list[tuple[int, int, str, dict[str, Scalar], str]] = []
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, [])
-            for required in (schema.activity_column, schema.timestamp_column):
+            for required in (ACTIVITY_COLUMN, TIMESTAMP_COLUMN):
                 if required not in header:
                     raise InputError(f"{path}: missing column {required!r}")
             column = {name: at for at, name in enumerate(header)}
             if len(column) < len(header):
                 repeated = next(name for at, name in enumerate(header) if column[name] != at)
                 raise InputError(f"{path}:{reader.line_num}: column {repeated!r} is repeated")
-            activity_at = column[schema.activity_column]
-            timestamp_at = column[schema.timestamp_column]
-            case_at = column.get(schema.case_column)
-            bound = (schema.case_column, schema.activity_column, schema.timestamp_column)
-            attribute_at = [(name, at) for name, at in column.items() if name not in bound]
+            activity_at = column[ACTIVITY_COLUMN]
+            timestamp_at = column[TIMESTAMP_COLUMN]
+            case_at = column.get(CASE_COLUMN)
+            attribute_at = [(name, at) for name, at in column.items() if name not in _BOUND]
             width = len(header)
             parsed: dict[str, Scalar] = {}  # each distinct attribute text, parsed once
             try:
@@ -167,7 +166,7 @@ def read_log_csv(path: str, schema: LogFileSchema | None = None) -> Uncorrelated
                     raw_ts = row[timestamp_at].strip()
                     if not raw_ts:
                         raise InputError("missing timestamp")
-                    timestamp = parse_timestamp(raw_ts, fmt)
+                    timestamp = parse_timestamp(raw_ts, timestamp_format)
                     attributes = {}
                     for name, at in attribute_at:
                         cell = row[at]
@@ -198,27 +197,24 @@ def read_log_csv(path: str, schema: LogFileSchema | None = None) -> Uncorrelated
 
 
 def write_log_csv(
-    log: EventLog | UncorrelatedLog, path: str, schema: LogFileSchema | None = None
+    log: EventLog | UncorrelatedLog, path: str, timestamp_format: str = DEFAULT_TIMESTAMP_FORMAT
 ) -> None:
-    """Write a log; round-trips with :func:`read_log_csv` under the same schema."""
-    schema = schema or LogFileSchema()
+    """Write a log; round-trips with :func:`read_log_csv` under the same timestamp format."""
     correlated = isinstance(log, EventLog)
     stream = log.base if correlated else log
     attribute_columns = sorted({name for e in stream.events for name in e.attributes})
-    reserved = {schema.case_column, schema.activity_column, schema.timestamp_column}
-    clash = reserved & set(attribute_columns)
+    clash = set(_BOUND) & set(attribute_columns)
     if clash:
         raise InputError(f"attribute names collide with bound columns: {sorted(clash)}")
-    header = ([schema.case_column] if correlated else []) + [
-        schema.activity_column,
-        schema.timestamp_column,
+    header = ([CASE_COLUMN] if correlated else []) + [
+        ACTIVITY_COLUMN,
+        TIMESTAMP_COLUMN,
         *attribute_columns,
     ]
-    fmt = schema.timestamp_format
 
     def rows() -> Iterator[list[str]]:
         for event in stream.events:
-            row = [event.activity, format_timestamp(event.timestamp, fmt)]
+            row = [event.activity, format_timestamp(event.timestamp, timestamp_format)]
             if correlated:
                 row.insert(0, log.assignment[event.index])
             if attribute_columns:

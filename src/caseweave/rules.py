@@ -18,16 +18,19 @@ Attribute names resolve against the event payload; ``Act`` is the activity and
 never an error.  Both sides parsing as integers compare numerically, anything
 else compares as strings.
 
-Evaluation is one judgement per (rule, event, earlier events of its case), in
-two sides.  The event side reads the event alone: whether the ``e[i]`` conditions
-hold, and a plain rule's own operand.  The anchor side then reads the case: the
-rule does not apply (no earlier event meets the ``e[j]`` conditions), applies at a
-first event with no predecessor to read, or its consequence holds or fails against
-the anchor.  ``score_each`` scores candidate cases with one event side per rule.
-``e_sat`` counts a hold and ``e_vio`` a failure; a case triggers a rule where some
-position applies and violates it where one fails.  ``case_verdicts`` reads both
-from one walk per case, or from a memo of earlier walks, and ``rule_cost`` sums
-the cases' shares exactly before rounding their mean once.
+Evaluation answers two questions.  How many rules does an event keep if it is
+appended to a candidate case?  ``score_each`` answers it for every candidate at
+once, and the decoder breaks ties with the count.  What share of the rules a
+case triggers does it violate?  ``case_verdicts`` answers it from one walk per
+rule, or from a memo of earlier walks, and ``rule_cost`` averages the shares
+into the energy ``fr``, summed exactly and rounded once.  Both read a rule on an
+event after the earlier events of its case in two sides.  The event side reads
+the event alone: whether the ``e[i]`` conditions hold, and a plain rule's own
+operand.  The anchor side then reads the case: the rule does not apply (no
+earlier event meets the ``e[j]`` conditions), applies at a first event with no
+predecessor to read, or its consequence holds or fails against the anchor.  An
+event keeps a rule where the consequence holds; a case triggers a rule where
+some event applies, and violates it where one fails.
 """
 
 from __future__ import annotations
@@ -513,41 +516,31 @@ def _read_anchor(
     return _eval_expr(rule.consequence, event, anchor, diag)
 
 
-def _judge(
-    rule: Rule, event: Event, events: Sequence[Event], k: int, diag: RuleDiagnostics | None
-) -> object:
-    """The rule's verdict on ``event`` after ``events[:k]``: None, or the anchor side's."""
-    applies, operand = _read_event(rule, event, diag)
-    return _read_anchor(rule, event, operand, events, k, diag) if applies else None
-
-
 def _walk(
     rule: Rule, events: tuple[Event, ...], diag: RuleDiagnostics | None
 ) -> tuple[bool, bool]:
     """(triggered, violated) from one pass over a case, stopping at the first violation."""
     triggered = False
     for k, event in enumerate(events):
-        verdict = _judge(rule, event, events, k, diag)
+        applies, operand = _read_event(rule, event, diag)
+        if not applies:
+            continue
+        verdict = _read_anchor(rule, event, operand, events, k, diag)
         if verdict is False:
             return True, True
         triggered = triggered or verdict is not None
     return triggered, False
 
 
-def e_sat(rule: Rule, event: Event, case: Case, diag: RuleDiagnostics | None = None) -> int:
-    """1 when appending ``event`` to ``case`` positively satisfies the rule.
-
-    The event is read as the tentative last event of the case.  A rule whose
-    conditions do not apply scores 0, not 1: vacuous truth earns nothing.
-    """
-    return int(_judge(rule, event, case.events, len(case.events), diag) is True)
-
-
 def score_each(
     rules: RuleSet, event: Event, histories: Sequence[Sequence[Event]],
     diag: RuleDiagnostics | None = None,
 ) -> list[int]:
-    """``score`` of ``event`` after each history, reading the event once per rule."""
+    """``score`` of ``event`` after each history, reading the event once per rule.
+
+    The event is read as the tentative last event of each history.  A rule whose
+    conditions do not apply scores 0, not 1: vacuous truth earns nothing.
+    """
     scores = [0] * len(histories)
     for rule in rules:
         applies, operand = _read_event(rule, event, diag)
@@ -561,30 +554,6 @@ def score_each(
 def score(rules: RuleSet, event: Event, case: Case, diag: RuleDiagnostics | None = None) -> int:
     """Number of rules the tentative assignment of ``event`` to ``case`` satisfies."""
     return score_each(rules, event, (case.events,), diag)[0]
-
-
-def trigger(rule: Rule, case: Case, diag: RuleDiagnostics | None = None) -> bool:
-    """Whether the case activates the rule at all (plain attribute rules always do)."""
-    return isinstance(rule, EqRule) or _walk(rule, case.events, diag)[0]
-
-
-def e_vio(
-    rule: Rule, case: Case, position: int, diag: RuleDiagnostics | None = None
-) -> bool:
-    """Whether the event at 1-based ``position`` violates the rule in its case.
-
-    Only an applicable rule whose consequence fails against its anchor violates,
-    so nothing violates at position 1.  Positions outside the case raise InputError.
-    """
-    events = case.events
-    if not 1 <= position <= len(events):
-        raise InputError(f"position {position} outside case {case.case_id}")
-    return _judge(rule, events[position - 1], events, position - 1, diag) is False
-
-
-def vio(rule: Rule, case: Case, diag: RuleDiagnostics | None = None) -> bool:
-    """Whether any position of the case violates the rule."""
-    return _walk(rule, case.events, diag)[1]
 
 
 def case_verdicts(

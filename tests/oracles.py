@@ -6,11 +6,15 @@ of a guided search, and permutation scans or a walk over every transport
 plan instead of the Hungarian method.
 Only net STRUCTURE (the preset/postset place tuples) is shared with the
 package; no search or scoring code is reused.  The rule references keep one
-definition per function (``e_sat``, ``e_vio``, ``trigger``, ``vio``,
-``rule_cost``) and share only the rule dataclasses, the scalar comparison and
-the attribute lookup; ``rule_cost`` and the duration variance are summed in
-exact fractions.  The reference decoder replays cases in the dict token game
-and scores candidates with ``e_sat_reference``.  The reference simulator plays
+definition per question: ``e_sat_reference`` (an event keeps a rule when
+appended to a case), ``e_vio_reference`` (the event at a position violates
+it), ``trigger_reference`` and ``vio_reference`` (a case triggers or violates
+it) and ``rule_cost_reference``.  The first checks the package's ``score``,
+the next three its ``case_verdicts``.  They share only the rule dataclasses,
+the scalar comparison and the attribute lookup; ``rule_cost`` and the
+duration variance are summed in exact fractions.  The reference decoder
+replays cases in the dict token game and scores candidates with
+``e_sat_reference``.  The reference simulator plays
 the timed token game on per-place lists of ready times with its own enabling
 scan, sharing only the duration default and the step cap.  The exception is
 ``astar_align_reference``: the heap A* that the layered alignment search
@@ -39,10 +43,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from caseweave import (
-    Alignment, BudgetExceeded, Case, Event, EventLog, InputError, LogFileSchema, RuleSet,
+    Alignment, BudgetExceeded, Case, Event, EventLog, InputError, RuleSet,
     SimulationConfig, Transition, UncorrelatedLog, WorkflowNet, build_uncorrelated_log, correlate,
 )
-from caseweave.logio import DEFAULT_TIMESTAMP_FORMAT, _parse_attribute
+from caseweave.logio import (
+    ACTIVITY_COLUMN, CASE_COLUMN, DEFAULT_TIMESTAMP_FORMAT, TIMESTAMP_COLUMN, _parse_attribute,
+)
 from caseweave.rules import (
     And,
     Comparison,
@@ -385,35 +391,33 @@ def _timestamp_reference(text: str, fmt: str) -> int:
     return minutes + (1 if remainder >= 30 else 0)
 
 
-def read_log_csv_reference(path: str, schema: LogFileSchema | None = None):
+def read_log_csv_reference(path: str, timestamp_format: str = DEFAULT_TIMESTAMP_FORMAT):
     """Read a log through one ``csv.DictReader`` dict per row.
 
     A bad row is named by its count of non-blank rows, the header being 1.
     """
-    schema = schema or LogFileSchema()
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
-        for required in (schema.activity_column, schema.timestamp_column):
+        for required in (ACTIVITY_COLUMN, TIMESTAMP_COLUMN):
             if required not in header:
                 raise InputError(f"{path}: missing column {required!r}")
-        has_case_column = schema.case_column in header
+        has_case_column = CASE_COLUMN in header
         attribute_columns = [
             name
             for name in header
-            if name
-            not in (schema.case_column, schema.activity_column, schema.timestamp_column)
+            if name not in (CASE_COLUMN, ACTIVITY_COLUMN, TIMESTAMP_COLUMN)
         ]
         staged = []
         for row_no, row in enumerate(reader, start=2):
-            activity = (row.get(schema.activity_column) or "").strip()
+            activity = (row.get(ACTIVITY_COLUMN) or "").strip()
             if not activity:
                 raise InputError(f"{path}:{row_no}: missing activity")
-            raw_ts = (row.get(schema.timestamp_column) or "").strip()
+            raw_ts = (row.get(TIMESTAMP_COLUMN) or "").strip()
             if not raw_ts:
                 raise InputError(f"{path}:{row_no}: missing timestamp")
             try:
-                timestamp = _timestamp_reference(raw_ts, schema.timestamp_format)
+                timestamp = _timestamp_reference(raw_ts, timestamp_format)
             except InputError as exc:
                 raise InputError(f"{path}:{row_no}: {exc}") from exc
             attributes = {
@@ -421,7 +425,7 @@ def read_log_csv_reference(path: str, schema: LogFileSchema | None = None):
                 for name in attribute_columns
                 if row.get(name) not in (None, "")
             }
-            case_id = (row.get(schema.case_column) or "").strip() if has_case_column else ""
+            case_id = (row.get(CASE_COLUMN) or "").strip() if has_case_column else ""
             staged.append((timestamp, row_no, activity, attributes, case_id))
     if not staged:
         raise InputError(f"{path}: empty log")

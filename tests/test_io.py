@@ -1,6 +1,7 @@
 """CSV/PNML/rule-file round trips and the command line."""
 
 import csv
+import io
 import re
 from collections import Counter
 from datetime import datetime, timedelta
@@ -12,18 +13,16 @@ from caseweave import (
     Case,
     EventLog,
     InputError,
-    LogFileSchema,
     UncorrelatedLog,
     build_uncorrelated_log,
     correlate,
-    e_sat,
     format_timestamp,
     parse_rules,
     parse_timestamp,
     read_log_csv,
     read_pnml,
     read_rules_file,
-    vio,
+    score,
     write_iteration_trace,
     write_log_csv,
     write_report,
@@ -33,6 +32,7 @@ from caseweave.annealer import run as anneal
 from caseweave.cli import main
 from caseweave.logio import DEFAULT_TIMESTAMP_FORMAT
 from caseweave.measures import MeasureReport, evaluate
+from caseweave.rules import case_verdicts
 
 from conftest import (
     DEMO_RULES_TEXT,
@@ -142,19 +142,34 @@ def test_default_timestamps_round_trip_in_every_year():
             assert text.startswith(f"{moment.year:04d}-"), text
 
 
+def test_custom_timestamps_round_trip_in_every_year():
+    fmt = "%d/%m/%Y %H:%M:%S"
+    early = "07/06/0005 09:00:00"
+    assert format_timestamp(parse_timestamp(early, fmt), fmt) == early
+    last = parse_timestamp("31/12/9999 23:59:00", fmt)
+    rng = seeded_rng("custom years")
+    for year in range(1, 10000):
+        start = parse_timestamp(f"01/01/{year:04d} 00:00:00", fmt)
+        minute = min(start + rng.randrange(366 * 1440), last)
+        text = format_timestamp(minute, fmt)
+        assert parse_timestamp(text, fmt) == minute, text
+        moment = datetime(1970, 1, 1) + timedelta(minutes=minute)
+        assert text == f"{moment:%d/%m}/{moment.year:04d} {moment:%H:%M:%S}"
+    # an escaped percent sign keeps the Y after it literal
+    assert format_timestamp(0, "%%Y %Y %%%Y") == "%Y 1970 %1970"
+
+
 # --- log CSV ------------------------------------------------------------------
 
 
 def test_fixture_stream_matches_the_programmatic_one():
-    schema = LogFileSchema(timestamp_format=CLAIMS_FORMAT)
-    log = read_log_csv(str(FIXTURES / "claims_stream.csv"), schema)
+    log = read_log_csv(str(FIXTURES / "claims_stream.csv"), CLAIMS_FORMAT)
     assert isinstance(log, UncorrelatedLog)
     assert log.events == make_demo_stream().events
 
 
 def test_fixture_correlated_log_carries_the_ground_truth():
-    schema = LogFileSchema(timestamp_format=CLAIMS_FORMAT)
-    log = read_log_csv(str(FIXTURES / "claims_correlated.csv"), schema)
+    log = read_log_csv(str(FIXTURES / "claims_correlated.csv"), CLAIMS_FORMAT)
     assert isinstance(log, EventLog)
     assert log.assignment == DEMO_TRUTH
     assert log.base.events == make_demo_stream().events
@@ -208,10 +223,10 @@ def test_integer_spellings_survive_a_correlate_round_trip(tmp_path):
     with open(out, newline="", encoding="utf-8") as handle:
         assert [row["K"] for row in csv.DictReader(handle)] == ["007", "7", "-0", "100", "-3"]
     # the rules still read 007 as 7
-    rule = parse_rules("e[i].K == e[i-1].K").rules[0]
+    rules = parse_rules("e[i].K == e[i-1].K")
     first, second = stream.events[:2]
-    assert e_sat(rule, second, Case("c1", (first,))) == 1
-    assert not vio(rule, Case("c1", (first, second)))
+    assert score(rules, second, Case("c1", (first,))) == 1
+    assert case_verdicts(rules, (first, second)) == (1, 0)
 
 
 def test_same_minute_rows_keep_their_file_order(tmp_path):
@@ -280,20 +295,19 @@ def test_the_log_reader_reads_as_the_reference_reads(tmp_path):
     for trial in range(600):
         text, fmt, last_line = random_log_csv(seeded_rng("log csv", trial))
         path.write_text(text, encoding="utf-8", newline="")
-        schema = LogFileSchema(timestamp_format=fmt)
         try:
-            want = read_log_csv_reference(str(path), schema)
+            want = read_log_csv_reference(str(path), fmt)
         except InputError as exc:
             # the reference counts rows; the reader names the line a row ends on
             message = re.sub(
                 r"^(.*?):(\d+): ", lambda m: f"{m[1]}:{last_line[int(m[2])]}: ", str(exc)
             )
             with pytest.raises(InputError) as raised:
-                read_log_csv(str(path), schema)
+                read_log_csv(str(path), fmt)
             assert str(raised.value) == message, text
             outcomes[re.sub(r"^.*?: (\w+ \w+).*", r"\1", message)] += 1
             continue
-        got = read_log_csv(str(path), schema)
+        got = read_log_csv(str(path), fmt)
         assert type(got) is type(want), text
         if isinstance(want, EventLog):
             assert got.base.events == want.base.events, text
@@ -644,6 +658,93 @@ def test_cli_refuses_logs_it_would_misread(workspace, capsys, content, refusal):
     assert main(["strip", *argv]) == 1
     err = capsys.readouterr().err
     assert err.count(f"caseweave: {log}{refusal}") == 2, err
+
+
+_MUTANT_TEXT = ' ,"\n\r\t-_aZ09é٣'
+
+
+def mutant_log(rng, path) -> tuple[str, bytes]:
+    """A mutation of the log CSV at ``path``: its kind, and the mutant's bytes.
+
+    Up to three data cells get random text, up to 6,000 digits, or a timestamp
+    year from 1 to 9999; or a byte that is not UTF-8 goes in anywhere; or one
+    column is dropped, repeated or moved.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    kind = rng.choice(["text", "digits", "year", "bytes", "drop", "repeat", "reorder"])
+    if kind in ("text", "digits", "year"):
+        for _ in range(rng.randint(1, 3)):
+            row = rng.choice(rows)
+            at = rng.randrange(len(row))
+            if kind == "year":  # the first four digits of either format are the year
+                at = header.index("timestamp")
+                row[at] = re.sub(r"\d{4}", f"{rng.randint(1, 9999):04d}", row[at], count=1)
+            elif kind == "text":
+                row[at] = "".join(rng.choices(_MUTANT_TEXT, k=rng.randint(0, 6)))
+            else:
+                row[at] = "".join(rng.choices("0123456789", k=rng.randint(1, 6000)))
+    elif kind != "bytes":
+        order = list(range(len(header)))
+        if kind == "drop":
+            order.pop(rng.randrange(len(order)))
+        elif kind == "repeat":
+            order.insert(rng.randrange(len(order) + 1), rng.choice(order))
+        else:
+            order.insert(rng.randrange(len(order)), order.pop())
+        header, rows = [header[at] for at in order], [[row[at] for at in order] for row in rows]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    data = out.getvalue().encode("utf-8")
+    if kind == "bytes":
+        at = rng.randrange(len(data) + 1)
+        data = data[:at] + bytes([rng.randint(0x80, 0xFF)]) + data[at:]
+    return kind, data
+
+
+def rows_less_the_case_column(path) -> list:
+    """A log file's rows as sorted (column, cell) pairs; activity and timestamp read trimmed."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    return sorted(
+        sorted((name, cell.strip() if name in ("activity", "timestamp") else cell)
+               for name, cell in row.items() if name != "case_id")
+        for row in rows
+    )
+
+
+def test_cli_reads_log_mutants_back_or_refuses_them_by_name(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    write_log_csv(correlate(make_demo_stream(), DEMO_TRUTH), str(truth))
+    correlate_argv = ["correlate", "--model", str(FIXTURES / "flow_net.pnml"),
+                      "--population", "1", "--levels", "1"]
+    bases = [  # the stream is correlated, each correlated log stripped
+        (FIXTURES / "claims_stream.csv", CLAIMS_FORMAT, correlate_argv),
+        (FIXTURES / "claims_correlated.csv", CLAIMS_FORMAT, ["strip"]),
+        (truth, DEFAULT_TIMESTAMP_FORMAT, ["strip"]),
+    ]
+    mutant, out = tmp_path / "mutant.csv", tmp_path / "out.csv"
+    outcomes = Counter()
+    for trial in range(400):
+        path, fmt, command = bases[trial % 3]
+        kind, data = mutant_log(seeded_rng("log mutants", trial), path)
+        mutant.write_bytes(data)
+        code = main([*command, "--log", str(mutant), "--out", str(out), "--timestamp-format", fmt])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (trial, data)
+        if code == 1:
+            assert err.startswith(f"caseweave: {mutant}"), (trial, err)
+        else:
+            assert rows_less_the_case_column(out) == rows_less_the_case_column(mutant), (
+                trial, data
+            )
+        outcomes[kind, code] += 1
+    kinds = {"text", "digits", "year", "bytes", "drop", "repeat", "reorder"}
+    # each kind comes up; a bad byte and a repeated column are always refused, the rest not
+    assert {kind for kind, _ in outcomes} == kinds, outcomes
+    assert {kind for kind, code in outcomes if code == 0} == kinds - {"bytes", "repeat"}, outcomes
 
 
 def test_cli_check_rules_refusals_name_the_file_and_line(workspace, capsys):

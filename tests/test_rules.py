@@ -7,23 +7,20 @@ import pytest
 from caseweave import (
     Case,
     Event,
-    InputError,
     RuleDiagnostics,
     RuleSet,
     RuleSyntaxError,
     UncorrelatedLog,
     correlate,
-    e_sat,
-    e_vio,
     parse_rules,
     pretty_rules,
     rule_cost,
     score,
     score_each,
-    trigger,
-    vio,
 )
-from caseweave.rules import And, Comparison, EqRule, EventTimeRule, IfThenRule, Or, _as_int
+from caseweave.rules import (
+    And, Comparison, EqRule, EventTimeRule, IfThenRule, Or, _as_int, case_verdicts,
+)
 
 from conftest import DEMO_RULES_TEXT, DEMO_TRUTH, DEMO_X, make_demo_stream, seeded_rng
 from oracles import (
@@ -43,6 +40,16 @@ def ev(index, activity, timestamp, **attrs):
 
 def case_of(*events):
     return Case("c", tuple(events))
+
+
+def keeps(rule, event, *earlier, diag=None):
+    """1 when ``event`` appended after ``earlier`` keeps ``rule``: its ``score`` under that rule."""
+    return score(RuleSet((rule,)), event, case_of(*earlier), diag)
+
+
+def verdicts(rule, *events, diag=None):
+    """(triggered, violated) of the case ``events`` under ``rule`` alone."""
+    return case_verdicts(RuleSet((rule,)), events, diag=diag)
 
 
 # --- parsing -----------------------------------------------------------------
@@ -79,8 +86,8 @@ def test_if_without_j_conditions_defaults_to_the_predecessor():
     # anchor is the immediate predecessor, whatever its activity
     a = ev(1, "B", 0, Res="x")
     b = ev(2, "C", 5, Res="x")
-    assert e_sat(rule, b, case_of(a)) == 0
-    assert e_sat(rule, ev(2, "C", 5, Res="y"), case_of(a)) == 1
+    assert keeps(rule, b, a) == 0
+    assert keeps(rule, ev(2, "C", 5, Res="y"), a) == 1
 
 
 def test_nested_and_or_consequence_round_trips():
@@ -154,12 +161,12 @@ def test_syntax_errors_name_the_line():
 def test_comparisons_are_numeric_when_both_sides_parse_as_ints():
     rule = parse_rules('IF e[i].Act == "B" THEN e[i].Size > e[j].Size\n').rules[0]
     prev = ev(1, "A", 0, Size="9")
-    assert e_sat(rule, ev(2, "B", 1, Size="10"), case_of(prev)) == 1  # 10 > 9
+    assert keeps(rule, ev(2, "B", 1, Size="10"), prev) == 1  # 10 > 9
     prev_text = ev(1, "A", 0, Size="9a")
     cur_text = ev(2, "B", 1, Size="10a")
-    assert e_sat(rule, cur_text, case_of(prev_text)) == 0  # "10a" < "9a"
+    assert keeps(rule, cur_text, prev_text) == 0  # "10a" < "9a"
     padded = ev(1, "A", 0, Size="0100")
-    assert e_sat(rule, ev(2, "B", 1, Size=101), case_of(padded)) == 1
+    assert keeps(rule, ev(2, "B", 1, Size=101), padded) == 1
 
 
 def _as_int_unmemoised(value):
@@ -184,7 +191,7 @@ def test_missing_attributes_fail_quietly_and_get_recorded():
     rule = EqRule("C1", "Type")
     diag = RuleDiagnostics()
     bare = ev(2, "B", 1)
-    assert e_sat(rule, bare, case_of(ev(1, "A", 0, Type="x")), diag) == 0
+    assert keeps(rule, bare, ev(1, "A", 0, Type="x"), diag=diag) == 0
     assert (2, "Type") in diag.missing_attributes
 
 
@@ -197,10 +204,10 @@ def test_first_event_satisfies_nothing():
 def test_event_time_rule_needs_a_predecessor_and_bounds():
     rule = parse_rules('IF e[i].Act == "B" THEN 30 <= duration <= 120\n').rules[0]
     a = ev(1, "A", 0)
-    assert e_sat(rule, ev(2, "B", 30), case_of(a)) == 1
-    assert e_sat(rule, ev(2, "B", 121), case_of(a)) == 0
-    assert e_sat(rule, ev(2, "B", 29), case_of(a)) == 0
-    assert e_sat(rule, ev(1, "B", 0), case_of()) == 0
+    assert keeps(rule, ev(2, "B", 30), a) == 1
+    assert keeps(rule, ev(2, "B", 121), a) == 0
+    assert keeps(rule, ev(2, "B", 29), a) == 0
+    assert keeps(rule, ev(1, "B", 0)) == 0
 
 
 def test_closest_anchor_commits_before_checking_the_consequence():
@@ -211,44 +218,34 @@ def test_closest_anchor_commits_before_checking_the_consequence():
     near = ev(2, "B", 10, Res="x")
     probe = ev(3, "C", 20, Res="y")
     # the nearer B wins the anchor slot even though the farther one would match
-    assert e_sat(rule, probe, case_of(far, near)) == 0
-    assert e_vio(rule, Case("c", (far, near, probe)), 3) is True
-
-
-def test_e_vio_rejects_positions_outside_the_case():
-    rule = EqRule("C1", "Type")
-    case = Case("c7", (ev(1, "A", 0, Type="x"), ev(2, "B", 5, Type="x")))
-    for position in (0, -1, len(case.events) + 1):
-        with pytest.raises(InputError, match=f"position {position} outside case c7"):
-            e_vio(rule, case, position)
-    assert e_vio(rule, case, 2) is False
+    assert keeps(rule, probe, far, near) == 0
+    # the case violates the rule first at the probe: the prefix before it does not trigger it
+    assert verdicts(rule, far, near) == (0, 0)
+    assert verdicts(rule, far, near, probe) == (1, 1)
 
 
 def test_trigger_semantics(demo_rules):
-    c1, c2, c3, c4, c5 = demo_rules
+    c1, _c2, _c3, c4, _c5 = demo_rules
     stream = make_demo_stream()
     log = correlate(stream, DEMO_X)
     third = log.case("c3")  # <A, D>
-    assert trigger(c1, third)  # attribute equality rules always apply
-    assert not trigger(c2, third)  # no B event
-    assert not trigger(c3, third)
-    assert not trigger(c4, third)
-    assert trigger(c5, third)  # the D event matches the IF
-    lone = case_of(ev(1, "B", 0, Res="x", Type="y"))
-    assert trigger(c4, lone)  # applicable even though position 1 cannot violate
-    assert not vio(c4, lone)
+    triggered = [verdicts(rule, *third.events)[0] for rule in demo_rules]
+    # attribute equality rules always apply; no B event; the D event matches C5's IF
+    assert triggered == [1, 0, 0, 0, 1]
+    lone = ev(1, "B", 0, Res="x", Type="y")
+    assert verdicts(c4, lone) == (1, 0)  # applicable even though position 1 cannot violate
+    same_type = (ev(1, "A", 0, Type="x"), ev(2, "B", 5, Type="x"))
+    assert verdicts(c1, *same_type) == (1, 0)  # applies at both positions, violated at neither
 
 
 def test_pair_rules_need_a_matching_anchor_to_trigger():
     rule = parse_rules(
         'IF e[i].Act == "C" AND e[j].Act == "B" THEN e[i].Res == e[j].Res\n'
     ).rules[0]
-    only_c = case_of(ev(1, "C", 0, Res="x"))
-    assert not trigger(rule, only_c)
-    b_after_c = case_of(ev(1, "C", 0, Res="x"), ev(2, "B", 5, Res="x"))
-    assert not trigger(rule, b_after_c)  # the anchor must come before
-    proper = case_of(ev(1, "B", 0, Res="x"), ev(2, "C", 5, Res="x"))
-    assert trigger(rule, proper)
+    assert verdicts(rule, ev(1, "C", 0, Res="x")) == (0, 0)
+    b_after_c = (ev(1, "C", 0, Res="x"), ev(2, "B", 5, Res="x"))
+    assert verdicts(rule, *b_after_c) == (0, 0)  # the anchor must come before
+    assert verdicts(rule, ev(1, "B", 0, Res="x"), ev(2, "C", 5, Res="x")) == (1, 0)
 
 
 def test_violations_on_the_demo_partitions(demo_rules):
@@ -256,8 +253,8 @@ def test_violations_on_the_demo_partitions(demo_rules):
     hand = correlate(stream, DEMO_X)
     truth = correlate(stream, DEMO_TRUTH)
     c5 = demo_rules.rules[4]
-    assert vio(c5, hand.case("c3"))  # D arrives 180 minutes after A
-    assert not vio(c5, truth.case("c2"))  # 150 minutes is inside the window
+    assert verdicts(c5, *hand.case("c3").events) == (1, 1)  # D arrives 180 minutes after A
+    assert verdicts(c5, *truth.case("c2").events) == (1, 0)  # 150 minutes is inside the window
     assert rule_cost(hand, demo_rules) == pytest.approx(1 / 6)
     assert rule_cost(truth, demo_rules) == 0.0
 
@@ -297,7 +294,7 @@ def test_diagnostics_flow_through_case_level_checks():
         "c", (ev(1, "A", 0, Color="red"), ev(2, "B", 5), ev(3, "C", 9, Color="red"))
     )
     diag = RuleDiagnostics()
-    assert vio(rules.rules[0], stream_case, diag)
+    assert case_verdicts(rules, stream_case.events, diag=diag) == (1, 1)
     assert (2, "Color") in diag.missing_attributes
 
 
@@ -306,18 +303,22 @@ def test_rule_evaluation_matches_the_reference_on_random_cases():
         rng = seeded_rng("rules-fuzz", trial)
         rule = random_rule(rng)
         events = random_rule_events(rng, rng.randint(0, 7))
-        case = case_of(*events[:-1])  # the last event probes e_sat on the whole case
         for k in range(len(events)):
             prefix = case_of(*events[:k])
-            assert e_sat(rule, events[k], prefix) == e_sat_reference(rule, events[k], prefix), (
-                trial, k
+            assert keeps(rule, events[k], *events[:k]) == e_sat_reference(
+                rule, events[k], prefix
+            ), (trial, k)
+        prefix_verdicts = [verdicts(rule, *events[:p]) for p in range(1, len(events) + 1)]
+        for p, got in enumerate(prefix_verdicts, start=1):
+            prefix = case_of(*events[:p])
+            assert got == (trigger_reference(rule, prefix), vio_reference(rule, prefix)), (
+                trial, p
             )
-        for position in range(1, len(case.events) + 1):
-            assert e_vio(rule, case, position) == e_vio_reference(rule, case, position), (
-                trial, position
-            )
-        assert trigger(rule, case) == trigger_reference(rule, case), trial
-        assert vio(rule, case) == vio_reference(rule, case), trial
+        # a first violation at position p shows as the prefix verdict turning violated at p
+        case = case_of(*events)
+        positions = range(1, len(events) + 1)
+        first = next((p for p in positions if e_vio_reference(rule, case, p)), None)
+        assert first == next((p for p in positions if prefix_verdicts[p - 1][1]), None), trial
 
 
 def test_rule_cost_matches_the_reference_on_random_partitions():
