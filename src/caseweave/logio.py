@@ -26,7 +26,7 @@ from xml.etree import ElementTree
 
 from .annealer import IterationRecord
 from .measures import MeasureReport
-from .model import EventLog, InputError, Scalar, UncorrelatedLog, build_uncorrelated_log, correlate
+from .model import EventLog, InputError, Scalar, UncorrelatedLog, _number_events, correlate
 from .rules import RuleSet, parse_int, parse_rules, pretty_rules
 from .wfnet import Transition, WorkflowNet
 
@@ -133,8 +133,11 @@ def read_log_csv(
     Cells are found by their column's place in the header.  Blank rows are
     skipped, a short row reads as empty cells and extra cells are ignored.
     A case column that exists but is only partially filled is an error; a
-    fully empty one reads as uncorrelated.  A repeated column name, a byte
-    that is not UTF-8 and a bad row raise InputError naming the file and line.
+    fully empty one reads as uncorrelated.  An empty attribute cell reads as
+    a missing attribute; the stream keeps the header's attribute columns as
+    its ``attribute_names``, so a column with no filled cell is written back.
+    A repeated column name, a byte that is not UTF-8 and a bad row raise
+    InputError naming the file and line.
     """
     staged: list[tuple[int, int, str, dict[str, Scalar], str]] = []
     try:
@@ -189,7 +192,7 @@ def read_log_csv(
     if 0 < filled < len(staged):
         raise InputError(f"{path}: case column is only partially filled ({filled}/{len(staged)})")
     staged.sort()  # the line numbers are unique, so no tuple is compared past its line number
-    stream = build_uncorrelated_log([(act, ts, attrs) for ts, _line, act, attrs, _cid in staged])
+    stream = _number_events(staged, tuple(name for name, _at in attribute_at))
     if filled == 0:
         return stream
     assignment = {index: item[4] for index, item in enumerate(staged, start=1)}
@@ -199,10 +202,16 @@ def read_log_csv(
 def write_log_csv(
     log: EventLog | UncorrelatedLog, path: str, timestamp_format: str = DEFAULT_TIMESTAMP_FORMAT
 ) -> None:
-    """Write a log; round-trips with :func:`read_log_csv` under the same timestamp format."""
+    """Write a log; round-trips with :func:`read_log_csv` under the same timestamp format.
+
+    The attribute columns are the stream's ``attribute_names`` and every
+    attribute an event holds, sorted.
+    """
     correlated = isinstance(log, EventLog)
     stream = log.base if correlated else log
-    attribute_columns = sorted({name for e in stream.events for name in e.attributes})
+    attribute_columns = sorted(
+        {*stream.attribute_names, *(name for e in stream.events for name in e.attributes)}
+    )
     clash = set(_BOUND) & set(attribute_columns)
     if clash:
         raise InputError(f"attribute names collide with bound columns: {sorted(clash)}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[str, int]
 
@@ -43,9 +43,15 @@ class Event:
 
 @dataclass(frozen=True)
 class UncorrelatedLog:
-    """An ordered event stream with indices 1..n and no case information."""
+    """An ordered event stream with indices 1..n and no case information.
+
+    ``attribute_names`` are attribute columns the stream was read with, kept
+    so that a column whose cells are all empty is written back; equality
+    ignores them.
+    """
 
     events: tuple[Event, ...]
+    attribute_names: tuple[str, ...] = field(default=(), compare=False)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -95,8 +101,19 @@ def build_uncorrelated_log(
     if not staged:
         raise InputError("empty log")
     staged.sort()  # the positions are unique, so no tuple is compared past its position
+    return _number_events(staged)
+
+
+def _number_events(
+    staged: Sequence[tuple], attribute_names: tuple[str, ...] = ()
+) -> UncorrelatedLog:
+    """The stream of checked records, already in stream order, indexed 1..n.
+
+    Each record is ``(timestamp, key, activity, attributes, ...)``; its
+    attributes dict becomes the event's own, uncopied.
+    """
     return UncorrelatedLog(
-        tuple([Event(i, act, ts, attrs) for i, (ts, _pos, act, attrs) in enumerate(staged, 1)])
+        tuple([Event(i, r[2], r[0], r[3]) for i, r in enumerate(staged, 1)]), attribute_names
     )
 
 

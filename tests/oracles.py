@@ -33,6 +33,7 @@ counts lines.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import heapq
 import io
 import itertools
@@ -395,6 +396,7 @@ def read_log_csv_reference(path: str, timestamp_format: str = DEFAULT_TIMESTAMP_
     """Read a log through one ``csv.DictReader`` dict per row.
 
     A bad row is named by its count of non-blank rows, the header being 1.
+    The stream's ``attribute_names`` are the header's attribute columns.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -433,7 +435,10 @@ def read_log_csv_reference(path: str, timestamp_format: str = DEFAULT_TIMESTAMP_
     if has_case_column and 0 < filled < len(staged):
         raise InputError(f"{path}: case column is only partially filled ({filled}/{len(staged)})")
     staged.sort(key=lambda item: (item[0], item[1]))
-    stream = build_uncorrelated_log([(act, ts, attrs) for ts, _no, act, attrs, _cid in staged])
+    stream = dataclasses.replace(
+        build_uncorrelated_log([(act, ts, attrs) for ts, _no, act, attrs, _cid in staged]),
+        attribute_names=tuple(attribute_columns),
+    )
     if not has_case_column or filled == 0:
         return stream
     return correlate(stream, {index: item[4] for index, item in enumerate(staged, start=1)})

@@ -311,9 +311,11 @@ def test_the_log_reader_reads_as_the_reference_reads(tmp_path):
         assert type(got) is type(want), text
         if isinstance(want, EventLog):
             assert got.base.events == want.base.events, text
+            assert got.base.attribute_names == want.base.attribute_names, text
             assert got.assignment == want.assignment, text
         else:
             assert got.events == want.events, text
+            assert got.attribute_names == want.attribute_names, text
         outcomes[type(want).__name__, fmt] += 1
     # both formats read to both kinds of log, and each refusal comes up
     assert len(outcomes) == 8 and min(outcomes.values()) >= 20, outcomes
@@ -668,12 +670,16 @@ def mutant_log(rng, path) -> tuple[str, bytes]:
 
     Up to three data cells get random text, up to 6,000 digits, or a timestamp
     year from 1 to 9999; or a byte that is not UTF-8 goes in anywhere; or one
-    column is dropped, repeated or moved.
+    column is dropped, repeated, moved or emptied in every row.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         header, *rows = csv.reader(handle)
-    kind = rng.choice(["text", "digits", "year", "bytes", "drop", "repeat", "reorder"])
-    if kind in ("text", "digits", "year"):
+    kind = rng.choice(["text", "digits", "year", "bytes", "drop", "repeat", "reorder", "blank"])
+    if kind == "blank":
+        at = rng.randrange(len(header))
+        for row in rows:
+            row[at] = ""
+    elif kind in ("text", "digits", "year"):
         for _ in range(rng.randint(1, 3)):
             row = rng.choice(rows)
             at = rng.randrange(len(row))
@@ -715,6 +721,15 @@ def rows_less_the_case_column(path) -> list:
     )
 
 
+def empty_attribute_columns(path) -> set[str]:
+    """The attribute columns of a log file that no row fills."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    return {name for at, name in enumerate(header)
+            if name not in ("case_id", "activity", "timestamp") and not any(
+                at < len(row) and row[at] for row in rows)}
+
+
 def test_cli_reads_log_mutants_back_or_refuses_them_by_name(tmp_path, capsys):
     truth = tmp_path / "truth.csv"
     write_log_csv(correlate(make_demo_stream(), DEMO_TRUTH), str(truth))
@@ -727,6 +742,7 @@ def test_cli_reads_log_mutants_back_or_refuses_them_by_name(tmp_path, capsys):
     ]
     mutant, out = tmp_path / "mutant.csv", tmp_path / "out.csv"
     outcomes = Counter()
+    emptied = 0
     for trial in range(400):
         path, fmt, command = bases[trial % 3]
         kind, data = mutant_log(seeded_rng("log mutants", trial), path)
@@ -740,11 +756,13 @@ def test_cli_reads_log_mutants_back_or_refuses_them_by_name(tmp_path, capsys):
             assert rows_less_the_case_column(out) == rows_less_the_case_column(mutant), (
                 trial, data
             )
+            emptied += kind == "blank" and bool(empty_attribute_columns(mutant))
         outcomes[kind, code] += 1
-    kinds = {"text", "digits", "year", "bytes", "drop", "repeat", "reorder"}
+    kinds = {"text", "digits", "year", "bytes", "drop", "repeat", "reorder", "blank"}
     # each kind comes up; a bad byte and a repeated column are always refused, the rest not
     assert {kind for kind, _ in outcomes} == kinds, outcomes
     assert {kind for kind, code in outcomes if code == 0} == kinds - {"bytes", "repeat"}, outcomes
+    assert emptied > 0  # an attribute column with no filled cell was written back
 
 
 def test_cli_check_rules_refusals_name_the_file_and_line(workspace, capsys):

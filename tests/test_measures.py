@@ -3,6 +3,7 @@
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from caseweave import (
@@ -21,6 +22,7 @@ from caseweave import (
     smape_ct,
     smape_et,
 )
+from caseweave import measures
 from caseweave.measures import MeasureReport, _distance_table
 
 from conftest import PAIRED_L, make_paired_logs, seeded_rng
@@ -74,6 +76,41 @@ def test_distance_kernel_matches_the_reference_past_one_machine_word():
         for i, row in enumerate(rows):
             for j, col in enumerate(cols):
                 assert table[i, j] == edit_distance_reference(row, col), (trial, i, j)
+    # every column is packed into one int: empty traces, tables with no row or
+    # no column, one-symbol alphabets, and row symbols that no column holds
+    seen = set()
+    for trial in range(80):
+        rng = seeded_rng("packed", trial)
+        alphabet = "abcd"[: rng.randint(1, 4)]
+        rows = [_random_trace(rng, alphabet + "z", 0, 12) for _ in range(rng.randint(0, 5))]
+        cols = [_random_trace(rng, alphabet, 0, 12) for _ in range(rng.randint(0, 7))]
+        table = _distance_table(rows, cols)
+        assert table.shape == (len(rows), len(cols)) and table.dtype == np.int64
+        seen |= {("no row", not rows), ("no column", not cols), ("one symbol", len(alphabet) == 1)}
+        for i, row in enumerate(rows):
+            for j, col in enumerate(cols):
+                assert table[i, j] == edit_distance_reference(row, col), (trial, i, j)
+                seen |= {("empty row", not row), ("empty column", not col),
+                         ("row-only symbol", "z" in row)}
+    assert {kind for kind, hit in seen if hit} == {kind for kind, _ in seen}, seen
+    # twenty long columns: each spans several machine words, the packed int thousands of bits
+    for trial in range(2):
+        rng = seeded_rng("packed-long", trial)
+        alphabet = "abcdef"[: rng.randint(2, 6)]
+        rows = [_random_trace(rng, alphabet + "z", 90, 130) for _ in range(3)] + [()]
+        cols = [_random_trace(rng, alphabet, 100, 130) for _ in range(20)] + [()]
+        assert sum(map(len, cols)) > 2000
+        table = _distance_table(rows, cols)
+        for i, row in enumerate(rows):
+            for j, col in enumerate(cols):
+                assert table[i, j] == edit_distance_reference(row, col), (trial, i, j)
+
+
+def test_a_carry_out_of_one_column_stays_in_its_guard_bit():
+    # Row "a" against column "a" makes V + U carry out of the column's top
+    # bit; without the guard bit the carry would clear the next column's
+    # lowest bit and add 2 to its distance.
+    assert _distance_table([("a",)], [("a",), ("a", "b")]).tolist() == [[0, 1]]
 
 
 def _random_log_pair(rng):
@@ -107,6 +144,30 @@ def test_l2l_trace_matches_the_per_pair_minimum_with_ties():
             total_length += len(trace) + len(partner)
         assert l2l_trace(original, generated) == 1.0 - total_distance / total_length, trial
     assert ties_between_lengths > 0  # the tie-break decides the denominator
+
+
+def test_evaluate_reads_both_trace_measures_from_one_table(monkeypatch):
+    tables = []
+
+    def counted(rows, cols):
+        tables.append((list(rows), list(cols)))
+        return _distance_table(rows, cols)
+
+    for trial in range(150):
+        # the same pairs as the tie test above, so ties between partners come up
+        original, generated = _random_log_pair(seeded_rng("l2l-trace", trial))
+        trace, freq = l2l_trace(original, generated), l2l_freq(original, generated)
+        monkeypatch.setattr(measures, "_distance_table", counted)
+        tables.clear()
+        report = evaluate(original, generated)
+        monkeypatch.undo()
+        assert (report.l2l_trace, report.l2l_freq) == (trace, freq), trial
+        assert len(tables) == 1, trial
+    # a log against itself needs no row: every trace is its own partner
+    tables.clear()
+    monkeypatch.setattr(measures, "_distance_table", counted)
+    assert evaluate(original, original).l2l_freq == 1.0
+    assert tables[0][0] == []
 
 
 def _repeated_traces(rng, pool):

@@ -13,6 +13,7 @@ from caseweave import (
     elapsed_time,
     strip_case_ids,
 )
+from caseweave.model import UncorrelatedLog
 
 from conftest import DEMO_TRUTH, DEMO_X, make_demo_stream, seeded_rng
 from oracles import build_uncorrelated_log_reference
@@ -26,6 +27,13 @@ def test_build_orders_by_timestamp_then_input_position():
     assert [e.index for e in stream.events] == [1, 2, 3, 4]
     assert stream.events[1].attributes == {}
     assert stream.events[2].attributes == {"k": 1}
+
+
+def test_attribute_names_leave_stream_equality_alone():
+    stream = make_demo_stream()
+    named = UncorrelatedLog(stream.events, ("Note",))
+    assert named == stream and hash(named) == hash(stream)
+    assert correlate(named, DEMO_TRUTH) == correlate(stream, DEMO_TRUTH)
 
 
 def test_build_index_lookup_and_len():
