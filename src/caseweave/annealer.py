@@ -62,7 +62,6 @@ from .rules import (
     violation_share,
 )
 from .wfnet import (
-    DEFAULT_MARKING_BUDGET,
     DEFAULT_STATE_BUDGET,
     AlignmentCache,
     BudgetExceeded,
@@ -76,20 +75,24 @@ from .wfnet import (
 
 @dataclass
 class AnnealerConfig:
-    """Knobs for :func:`run`; defaults suit small to mid-size streams."""
+    """Knobs for :func:`run`; defaults suit small to mid-size streams.
+
+    ``state_budget`` bounds each alignment search of the run's
+    :class:`AlignmentCache`.  The net bounds its own silent closures, with the
+    marking limit it was built with (see :class:`WorkflowNet`).
+    """
 
     tau_init: float = 100.0
     s_max: int = 10
     population: int = 5
     seed: int = 0
-    marking_budget: int = DEFAULT_MARKING_BUDGET
     state_budget: int = DEFAULT_STATE_BUDGET
     # Recompute every energy total from scratch, without the run's memos, and compare.
     debug_recompute: bool = False
 
     def validate(self) -> None:
-        """Raise InputError, naming the field, for a count or budget below 1 or a bad tau_init."""
-        for name in ("population", "s_max", "marking_budget", "state_budget"):
+        """Raise InputError naming the field: a count or state_budget below 1, a bad tau_init."""
+        for name in ("population", "s_max", "state_budget"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0 < self.tau_init < math.inf:  # NaN fails this too
@@ -228,15 +231,11 @@ class StreamDecoder:
         rules: RuleSet,
         rng: random.Random,
         start_activity: str | None = None,
-        marking_budget: int = DEFAULT_MARKING_BUDGET,
     ) -> None:
         self.rules = rules
         self.rng = rng
-        self.marking_budget = marking_budget
         self.start_activity = (
-            start_activity
-            if start_activity is not None
-            else infer_start_activity(net, marking_budget)
+            start_activity if start_activity is not None else infer_start_activity(net)
         )
         self.initial = net.initial
         self.cases: dict[str, CaseRun] = {}
@@ -275,11 +274,11 @@ class StreamDecoder:
         final yet still enables a labelled move) rebuilds it from ``cases``,
         so the index keeps opening order.
         """
-        nxt = run.node.moves(self.marking_budget).get(activity)
+        nxt = run.node.moves().get(activity)
         if nxt is None:
             return False
         run.node = nxt
-        closed = nxt.final(self.marking_budget)
+        closed = nxt.final()
         if closed != run.closed:
             run.closed = closed
             if closed:
@@ -322,10 +321,9 @@ class StreamDecoder:
                     f"start activity {event.activity!r} cannot fire from the initial marking"
                 )
         else:
-            budget = self.marking_budget
             self.scanned += len(self.open_runs)
             fitting = [
-                run for run in self.open_runs.values() if event.activity in run.node.moves(budget)
+                run for run in self.open_runs.values() if event.activity in run.node.moves()
             ]
             if fitting:
                 self.fitted += 1
@@ -339,7 +337,7 @@ class StreamDecoder:
                 if chosen.closed:
                     chosen = self._own(chosen)
                     # only a closed winner can enable it; its closure is walked: this cannot raise
-                    if event.activity in chosen.node.moves(budget):
+                    if event.activity in chosen.node.moves():
                         chosen.diverged = True
             else:
                 self.opened += 1
@@ -540,7 +538,7 @@ def evaluate_individual(
             trace = tuple([e.activity for e in events])
             new = cases[case_id] = CaseEnergy(
                 tuple([e.index for e in events]),
-                cache.get_or_compute(net, trace, config.state_budget)
+                cache.get_or_compute(trace)
                 if cache is not None
                 else align_trace(net, trace, config.state_budget).cost,
                 case_verdicts(rules, events, verdicts),
@@ -577,7 +575,7 @@ def initial_individual(
 ) -> Individual:
     """Decode the whole stream greedily and evaluate it."""
     config = config or AnnealerConfig()
-    decoder = StreamDecoder(net, rules, rng, start_activity, config.marking_budget)
+    decoder = StreamDecoder(net, rules, rng, start_activity)
     assignment = decoder.run(stream.events)
     return evaluate_individual(stream, assignment, net, rules, cache, config, verdicts)
 
@@ -603,7 +601,7 @@ def neighbor(
     n = len(stream)
     low = (n * (s_curr - 1)) // config.s_max + 1
     cut = rng.randint(low, n)
-    decoder = StreamDecoder(net, rules, rng, start_activity, config.marking_budget)
+    decoder = StreamDecoder(net, rules, rng, start_activity)
     if config.debug_recompute:
         _restore_checked(decoder, net, rules, stream, current, cut)
     else:
@@ -640,12 +638,10 @@ def _restore_checked(
 ) -> None:
     """:func:`replay_prefix` from ``current``, checked against a replay of its assignment.
 
-    The two decoders must hold the same state, or both run out of marking
-    budget; anything else raises AssertionError.
+    The two decoders must hold the same state, or both raise BudgetExceeded
+    in a silent closure; anything else raises AssertionError.
     """
-    replayed = StreamDecoder(
-        net, rules, decoder.rng, decoder.start_activity, decoder.marking_budget
-    )
+    replayed = StreamDecoder(net, rules, decoder.rng, decoder.start_activity)
     outcomes: list[tuple | BudgetExceeded] = []
     for target, prefix in ((decoder, current), (replayed, current.assignment)):
         try:
@@ -720,13 +716,13 @@ def run(
     Each slot owns a Random seeded from one master stream, so a slot's
     trajectory does not depend on the population size.  Every level steps the
     slots in slot order, then reduces the global best once over the population
-    in slot order.  A neighbour that runs out of budget is rejected; building
-    the initial population raises BudgetExceeded instead.
+    in slot order.  A neighbour that raises BudgetExceeded is rejected; building
+    the initial population raises it instead.
     """
     config = config or AnnealerConfig()
     config.validate()
-    start_activity = infer_start_activity(net, config.marking_budget)
-    cache = AlignmentCache(config.marking_budget)
+    start_activity = infer_start_activity(net)
+    cache = AlignmentCache(net, config.state_budget)
     verdicts: dict[tuple[int, ...], tuple[int, int]] = {}  # case_verdicts' memo, one per run
     master = random.Random(config.seed)
     rngs = [random.Random(master.getrandbits(64)) for _ in range(config.population)]
@@ -740,7 +736,7 @@ def run(
                 stream, proposal, net, rules, cache, config, verdicts, current
             )
         except BudgetExceeded:
-            # An over-budget candidate costs infinity: it loses without a coin.
+            # A candidate past a search bound costs infinity: it loses without a coin.
             return current, False
         chosen = select_next(current, candidate, tau, rng)
         return chosen, chosen is candidate

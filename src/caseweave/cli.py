@@ -24,7 +24,7 @@ from .measures import evaluate
 from .model import EventLog, InputError, UncorrelatedLog, strip_case_ids
 from .rules import RuleSet
 from .simulate import SimulationConfig, simulate_log
-from .wfnet import DEFAULT_MARKING_BUDGET, BudgetExceeded, validate_net
+from .wfnet import DEFAULT_MARKING_BUDGET, BudgetExceeded, infer_start_activity, validate_net
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -61,9 +61,16 @@ def _require_correlated(log: EventLog | UncorrelatedLog, path: str) -> EventLog:
     return log
 
 
-def _load_net(path: str, marking_budget: int = DEFAULT_MARKING_BUDGET):
-    net = read_pnml(path)
-    report = validate_net(net, budget=marking_budget)
+def _load_net(path: str, marking_budget: int = DEFAULT_MARKING_BUDGET, start: bool = False):
+    """Read and check a net; with ``start``, its start activity must lie on no cycle.
+
+    The start check runs only on a net that passes the structural checks, as
+    only such a net has the one source place the start activity is inferred from.
+    """
+    net = read_pnml(path, marking_budget)
+    report = validate_net(net)
+    if report.ok and start:
+        report = validate_net(net, infer_start_activity(net))
     if not report.ok:
         raise InputError(f"{path}: " + "; ".join(report.problems))
     return net
@@ -81,11 +88,11 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         s_max=args.levels,
         population=args.population,
         seed=args.seed,
-        marking_budget=args.marking_budget,
         state_budget=args.state_budget,
     )
-    config.validate()  # before the net check, which spends the marking budget
-    net = _load_net(args.model, config.marking_budget)
+    config.validate()  # before the net is read
+    # the decoder opens a case at every start-activity event, so it may not recur in a case
+    net = _load_net(args.model, args.marking_budget, start=True)
     rules = read_rules_file(args.rules) if args.rules else RuleSet(rules=())
     result = run(stream, net, rules, config)
     write_log_csv(result.best.log, args.out, args.timestamp_format)
@@ -167,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--workers", type=int, choices=(1,), default=1,
                    help="kept for existing command lines; correlation runs on one thread")
-    p.add_argument("--marking-budget", type=int, default=defaults.marking_budget,
+    p.add_argument("--marking-budget", type=int, default=DEFAULT_MARKING_BUDGET,
                    help="max markings per silent-closure search and in the model's"
                    " reachability check")
     p.add_argument("--state-budget", type=int, default=defaults.state_budget,

@@ -28,7 +28,7 @@ from .annealer import IterationRecord
 from .measures import MeasureReport
 from .model import EventLog, InputError, Scalar, UncorrelatedLog, _number_events, correlate
 from .rules import RuleSet, parse_int, parse_rules, pretty_rules
-from .wfnet import Transition, WorkflowNet
+from .wfnet import DEFAULT_MARKING_BUDGET, Transition, WorkflowNet
 
 DEFAULT_TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
 
@@ -252,8 +252,8 @@ def _child_text(element: ElementTree.Element, child: str) -> str | None:
     return text
 
 
-def read_pnml(path: str) -> WorkflowNet:
-    """Read the place/transition/arc core of a PNML file.
+def read_pnml(path: str, marking_budget: int = DEFAULT_MARKING_BUDGET) -> WorkflowNet:
+    """Read the place/transition/arc core of a PNML file into a net with ``marking_budget``.
 
     A transition with an empty or missing name is silent.  Namespaces and page
     nesting are tolerated.  An arc inscription other than 1, a second arc
@@ -309,7 +309,7 @@ def read_pnml(path: str) -> WorkflowNet:
         raise InputError(f"{path}: no <net> element")
     if not places or not transitions:
         raise InputError(f"{path}: net needs at least one place and one transition")
-    net = WorkflowNet(places=places, transitions=transitions, arcs=arcs)
+    net = WorkflowNet(places, transitions, arcs, marking_budget)
     for pid, marking in marked.items():
         if net._sources != (pid,) or count(marking) != 1:
             raise InputError(

@@ -16,7 +16,9 @@ to through the silent closure, and its finality; the decoder, the simulator,
 the reachability check and alignment all walk this one successor relation.
 A place -> count mapping enters only through :meth:`WorkflowNet.node`;
 :func:`enabled_activities`, :func:`advance` and :func:`is_final` take one and
-answer from its node.
+answer from its node.  The net carries its ``marking_budget``, set once when
+it is built: every silent closure and the reachability check of
+:func:`validate_net` stop past that many distinct markings.
 
 Alignment follows the usual move costs: synchronous moves and silent model
 moves are free, visible model moves and log moves cost 1.  It searches
@@ -32,9 +34,10 @@ heap, and a fitting trace is answered inside the first layer.  The
 ``state_budget`` counts each settled state once.
 
 The annealer needs only each trace's cost, so :class:`AlignmentCache` memoises
-trace -> cost.  Before it searches, it replays the trace as the decoder does,
-one ``MarkingNode.moves`` lookup per symbol; a replay that ends in a final node
-is a firing sequence projecting onto the trace, so the trace costs 0 with no
+trace -> cost for one net, under the ``state_budget`` it is built with.
+Before it searches, it replays the trace as the decoder does, one
+``MarkingNode.moves`` lookup per symbol; a replay that ends in a final node is
+a firing sequence projecting onto the trace, so the trace costs 0 with no
 search (token replay, as in Rozinat & van der Aalst, Information Systems
 33(1), 2008).  The replay commits to one silent prefix per symbol, so it may
 miss a fitting trace; that trace is then searched.
@@ -42,7 +45,6 @@ miss a fitting trace; that trace is then searched.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -93,19 +95,18 @@ class MarkingNode:
 
     ``marking`` is the token count of each place, in ``net.places`` order, and
     the table's key for the node.  Each fact is computed on first use and kept.
-    The silent closure is walked once and its size kept, so a later call under
-    a smaller budget raises as a fresh walk would.
+    The silent closure is walked under the net's ``marking_budget``; a walk
+    past it raises BudgetExceeded and keeps nothing, so every call raises alike.
     """
 
-    __slots__ = ("net", "marking", "_successors", "_moves", "_final", "_size")
+    __slots__ = ("net", "marking", "_successors", "_moves", "_final")
 
     def __init__(self, net: WorkflowNet, marking: tuple[int, ...]) -> None:
         self.net = net
         self.marking = marking
         self._successors: tuple[tuple[Transition, MarkingNode], ...] | None = None
-        self._moves: dict[str, MarkingNode] = {}
+        self._moves: dict[str, MarkingNode] | None = None  # None until the closure is walked
         self._final: bool | None = None  # None: the net has no single sink place
-        self._size: float = math.inf  # markings in the silent closure; inf until walked
 
     def holds(self, place: str) -> bool:
         """True when ``place`` carries a token."""
@@ -126,13 +127,14 @@ class MarkingNode:
             )
         return self._successors
 
-    def reachable(self, budget: int, silent_only: bool) -> Iterator[MarkingNode]:
+    def reachable(self, silent_only: bool) -> Iterator[MarkingNode]:
         """Nodes reachable from this one, itself first, in BFS order.
 
         Transitions are tried in definition order, so the first node satisfying
         a predicate is the deterministic choice.  Raises BudgetExceeded past
-        ``budget`` distinct markings.
+        the net's ``marking_budget`` distinct markings.
         """
+        budget = self.net.marking_budget
         seen = {self}
         queue = [self]
         for node in queue:  # the list grows behind the loop: a FIFO queue
@@ -146,39 +148,33 @@ class MarkingNode:
                 seen.add(nxt)
                 queue.append(nxt)
 
-    def _walk_closure(self, budget: int) -> None:
-        """Walk the silent closure once, keeping its moves, finality and size.
-
-        Called only with ``budget`` below the kept size: a walked closure is too big for it.
-        """
-        if self._size < math.inf:
-            raise BudgetExceeded(f"silent closure exceeded {budget} markings")
-        closure = list(self.reachable(budget, silent_only=True))
+    def _walk_closure(self) -> dict[str, MarkingNode]:
+        """Walk the silent closure once, keeping its moves and finality."""
+        closure = list(self.reachable(silent_only=True))
         moves: dict[str, MarkingNode] = {}
         for node in closure:
             for t, nxt in node.successors():
                 if t.label is not None and t.label not in moves:
                     moves[t.label] = nxt
         sinks = self.net._sinks
-        self._moves = moves
         self._final = any(node.holds(sinks[0]) for node in closure) if len(sinks) == 1 else None
-        self._size = len(closure)  # stored last: it opens the fast path
+        self._moves = moves  # stored last: it opens the fast path
+        return moves
 
-    def moves(self, budget: int) -> dict[str, MarkingNode]:
+    def moves(self) -> dict[str, MarkingNode]:
         """Activity -> node after firing it behind the shortest silent prefix.
 
         The keys are the activities enabled through the silent closure.  Ties
         go to BFS order over silent firings, then to definition order among
         transitions sharing the label.
         """
-        if budget < self._size:
-            self._walk_closure(budget)
-        return self._moves
+        moves = self._moves
+        return self._walk_closure() if moves is None else moves
 
-    def final(self, budget: int) -> bool:
+    def final(self) -> bool:
         """True when the sink place can be covered by firing silent transitions only."""
-        if budget < self._size:
-            self._walk_closure(budget)
+        if self._moves is None:
+            self._walk_closure()
         if self._final is None:
             raise InputError(f"net has {len(self.net._sinks)} sink places, expected 1")
         return self._final
@@ -190,9 +186,11 @@ class WorkflowNet:
     Arcs connect places to transitions or transitions to places, weight 1; a
     repeated arc counts once.  ``preset`` and ``postset`` map each transition
     id to its places in arc order.
-    Construction validates referential integrity only; semantic soundness
-    checks live in :func:`validate_net` so that callers can inspect problems
-    instead of catching exceptions.
+    ``marking_budget`` bounds every walk over the net's markings: each silent
+    closure and the reachability check stop past that many distinct markings.
+    Construction validates referential integrity and the budget only; semantic
+    soundness checks live in :func:`validate_net` so that callers can inspect
+    problems instead of catching exceptions.
     """
 
     def __init__(
@@ -200,7 +198,11 @@ class WorkflowNet:
         places: Iterable[str],
         transitions: Iterable[Transition],
         arcs: Iterable[tuple[str, str]],
+        marking_budget: int = DEFAULT_MARKING_BUDGET,
     ) -> None:
+        if marking_budget < 1:
+            raise InputError(f"marking_budget must be at least 1, got {marking_budget}")
+        self.marking_budget = marking_budget
         self.places = tuple(dict.fromkeys(places))
         self.transitions = tuple(transitions)
         self.arcs = tuple(dict.fromkeys(arcs))
@@ -287,52 +289,40 @@ class WorkflowNet:
         raise KeyError(tid)
 
 
-def enabled_activities(
-    net: WorkflowNet, marking: Mapping[str, int], budget: int = DEFAULT_MARKING_BUDGET
-) -> frozenset[str]:
+def enabled_activities(net: WorkflowNet, marking: Mapping[str, int]) -> frozenset[str]:
     """Activity labels fireable from ``marking`` after any silent prefix."""
-    return frozenset(net.node(marking).moves(budget))
+    return frozenset(net.node(marking).moves())
 
 
-def is_final(
-    net: WorkflowNet, marking: Mapping[str, int], budget: int = DEFAULT_MARKING_BUDGET
-) -> bool:
+def is_final(net: WorkflowNet, marking: Mapping[str, int]) -> bool:
     """True when the sink place can be covered by firing silent transitions only."""
-    return net.node(marking).final(budget)
+    return net.node(marking).final()
 
 
-def advance(
-    net: WorkflowNet,
-    marking: Mapping[str, int],
-    activity: str,
-    budget: int = DEFAULT_MARKING_BUDGET,
-) -> MarkingNode | None:
+def advance(net: WorkflowNet, marking: Mapping[str, int], activity: str) -> MarkingNode | None:
     """The node after firing ``activity`` behind the shortest silent prefix; None if unreachable.
 
     Deterministic: BFS order over silent firings, definition order among
     transitions sharing the label (see :meth:`MarkingNode.moves`).
     """
-    return net.node(marking).moves(budget).get(activity)
+    return net.node(marking).moves().get(activity)
 
 
-def infer_start_activity(net: WorkflowNet, budget: int = DEFAULT_MARKING_BUDGET) -> str:
+def infer_start_activity(net: WorkflowNet) -> str:
     """The unique activity enabled at the initial marking."""
     # through the mapping adapter, the boundary perfbench's tracer counts
-    acts = enabled_activities(net, {net.input_place: 1}, budget)
+    acts = enabled_activities(net, {net.input_place: 1})
     if len(acts) != 1:
         raise InputError(f"expected exactly one start activity, found {sorted(acts)}")
     return next(iter(acts))
 
 
-def validate_net(
-    net: WorkflowNet,
-    start_activity: str | None = None,
-    budget: int = DEFAULT_MARKING_BUDGET,
-) -> ValidationReport:
+def validate_net(net: WorkflowNet, start_activity: str | None = None) -> ValidationReport:
     """Check workflow-net shape; collects problems instead of raising.
 
     Checks: unique source and sink place, every node on a path from source to
-    sink, a final marking reachable from the initial one, and (when given)
+    sink, a final marking reachable from the initial one within the net's
+    marking budget, and (when given)
     exactly one transition labeled ``start_activity`` that lies on no cycle.
     """
     problems: list[str] = []
@@ -366,7 +356,7 @@ def validate_net(
         if stranded:
             problems.append(f"nodes not on a source-to-sink path: {stranded}")
         try:
-            if not _final_reachable(net, budget):
+            if not _final_reachable(net):
                 problems.append("no final marking reachable from the initial marking")
         except BudgetExceeded:
             problems.append("reachability check exceeded the marking budget")
@@ -384,11 +374,10 @@ def validate_net(
     return ValidationReport(ok=not problems, problems=tuple(problems))
 
 
-def _final_reachable(net: WorkflowNet, budget: int) -> bool:
+def _final_reachable(net: WorkflowNet) -> bool:
     """Token-game BFS from the initial marking until a final marking appears."""
-    start = net.initial
     out_place = net.output_place
-    return any(node.holds(out_place) for node in start.reachable(budget, silent_only=False))
+    return any(node.holds(out_place) for node in net.initial.reachable(silent_only=False))
 
 
 # A search state, and its link to (previous state, move kind, transition).
@@ -489,23 +478,23 @@ def _walk_back(parent: _Parents, state: _State, trace: tuple[str, ...]) -> tuple
     return tuple(reversed(moves))
 
 
-def _replays(net: WorkflowNet, trace: tuple[str, ...], marking_budget: int) -> bool:
+def _replays(net: WorkflowNet, trace: tuple[str, ...]) -> bool:
     """True when the decoder's own replay fires ``trace`` to a final marking.
 
     Each symbol takes the node that ``MarkingNode.moves`` gives for it, behind
     a silent prefix and a transition with that label, so the lookups are a
     firing sequence whose visible labels are ``trace``.  A True answer proves
     cost 0.  A False one proves nothing, because the replay commits to one
-    silent prefix per symbol; a closure over ``marking_budget`` also answers
-    False.
+    silent prefix per symbol; a closure over the net's marking budget also
+    answers False.
     """
     node = net.initial
     try:
         for symbol in trace:
-            node = node.moves(marking_budget).get(symbol)
+            node = node.moves().get(symbol)
             if node is None:
                 return False
-        return node.final(marking_budget)
+        return node.final()
     except BudgetExceeded:
         return False
 
@@ -515,55 +504,48 @@ class AlignmentCache:
 
     A trace the decoder's deterministic replay fires to a final marking costs
     0 with no search; any other trace, and any whose replay needs a silent
-    closure over ``marking_budget``, is searched by :func:`align_trace` under
-    the call's ``state_budget``.  A trace whose search ran out of budget is
-    not searched again under a budget no larger than that one: the call
-    raises a fresh BudgetExceeded carrying the failure's message.
+    closure over the net's marking budget, is searched by :func:`align_trace`
+    under the cache's ``state_budget``.  A trace whose search ran out of
+    budget is not searched again: the call raises a fresh BudgetExceeded
+    carrying the failure's message.
     """
 
-    def __init__(self, marking_budget: int = DEFAULT_MARKING_BUDGET) -> None:
-        self.marking_budget = marking_budget
+    def __init__(self, net: WorkflowNet, state_budget: int = DEFAULT_STATE_BUDGET) -> None:
+        self.net = net
+        self.state_budget = state_budget
         self._costs: dict[tuple[str, ...], int] = {}
-        # trace -> (largest budget it failed under, that failure's message)
-        self._failed: dict[tuple[str, ...], tuple[int, str]] = {}
+        self._failed: dict[tuple[str, ...], str] = {}  # trace -> its failure's message
 
     def __len__(self) -> int:
         return len(self._costs)
 
-    def get_or_compute(
-        self,
-        net: WorkflowNet,
-        trace: Sequence[str],
-        state_budget: int = DEFAULT_STATE_BUDGET,
-    ) -> int:
+    def get_or_compute(self, trace: Sequence[str]) -> int:
         key = tuple(trace)
         cost = self._costs.get(key)
         if cost is not None:
             return cost
         failed = self._failed.get(key)
-        if failed is not None and state_budget <= failed[0]:
-            # the search order does not depend on the budget, so it would fail again
-            raise BudgetExceeded(failed[1])
-        if _replays(net, key, self.marking_budget):
+        if failed is not None:
+            raise BudgetExceeded(failed)  # the search order is fixed, so it would fail again
+        if _replays(self.net, key):
             cost = 0
         else:
             try:
-                cost = align_trace(net, key, state_budget).cost
+                cost = align_trace(self.net, key, self.state_budget).cost
             except BudgetExceeded as exc:
-                # a budget above any recorded failure, so this keeps the largest
-                self._failed[key] = (state_budget, str(exc))
+                self._failed[key] = str(exc)
                 raise
         self._costs[key] = cost
         return cost
 
 
 def log_alignment_cost(
-    net: WorkflowNet,
-    log: EventLog,
-    cache: AlignmentCache | None = None,
-    state_budget: int = DEFAULT_STATE_BUDGET,
+    net: WorkflowNet, log: EventLog, cache: AlignmentCache | None = None
 ) -> int:
-    """Sum of per-case alignment costs; BudgetExceeded propagates."""
+    """Sum of per-case alignment costs; BudgetExceeded propagates.
+
+    Without a ``cache``, one is built for ``net`` under the default state budget.
+    """
     if cache is None:
-        cache = AlignmentCache()
-    return sum(cache.get_or_compute(net, c.trace, state_budget) for c in log.cases)
+        cache = AlignmentCache(net)
+    return sum(cache.get_or_compute(c.trace) for c in log.cases)

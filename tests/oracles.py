@@ -938,8 +938,7 @@ class DecoderReference:
     """
 
     def __init__(self, net: WorkflowNet, rules: RuleSet, rng: random.Random,
-                 start_activity: str, marking_budget: int | None = None) -> None:
-        # marking_budget is taken for StreamDecoder's signature; the dict token game needs none
+                 start_activity: str) -> None:
         self.net, self.rules, self.rng = net, rules, rng
         self.start_activity = start_activity
         self.cases: list[dict] = []

@@ -312,7 +312,7 @@ def test_a_restored_prefix_equals_its_replay_at_every_cut():
         rng = seeded_rng("restore-replay", trial)
         net, rules, stream = random_decoder_instance(rng)
         config = AnnealerConfig(s_max=4)
-        cache, verdicts = AlignmentCache(), {}
+        cache, verdicts = AlignmentCache(net), {}
         parent = initial_individual(
             stream, net, rules, random.Random(trial), config, cache, "S", verdicts
         )
@@ -374,7 +374,7 @@ def test_descendants_share_closed_runs_and_never_change_them():
         rng = seeded_rng("shared-runs", trial)
         net, rules, stream = random_decoder_instance(rng)
         config = AnnealerConfig(s_max=4)
-        cache, verdicts = AlignmentCache(), {}
+        cache, verdicts = AlignmentCache(net), {}
         parent = initial_individual(
             stream, net, rules, random.Random(trial), config, cache, "S", verdicts
         )
@@ -408,7 +408,7 @@ def test_changed_cases_from_the_runs_match_the_mapping_path_at_every_cut():
         rng = seeded_rng("changed-runs", trial)
         net, rules, stream = random_decoder_instance(rng)
         config = AnnealerConfig(s_max=4)
-        cache, verdicts = AlignmentCache(), {}
+        cache, verdicts = AlignmentCache(net), {}
         parent = initial_individual(
             stream, net, rules, random.Random(trial), config, cache, "S", verdicts
         )
@@ -463,13 +463,13 @@ def test_debug_recompute_checks_every_restore(demo_net, demo_rules):
     assert lied.cases["c1"].node is demo_net.node({"q2": 1})
 
 
-def make_wide_loop_net() -> WorkflowNet:
+def make_wide_loop_net(marking_budget: int) -> WorkflowNet:
     """S, X closes through a silent move to the sink; Y loops back through an AND of silent moves.
 
-    The node after Y has six markings in its silent closure, so a marking
-    budget of 5 fails there.  The decoder never fires Y, as Y only follows X
-    and a case after X is closed, but a replay fires a Y that a closed case
-    absorbed.
+    The node after Y has six markings in its silent closure, so a
+    ``marking_budget`` of 5 fails there.  The decoder never fires Y, as Y
+    only follows X and a case after X is closed, but a replay fires a Y that
+    a closed case absorbed.
     """
     return WorkflowNet(
         places=["p1", "p2", "p3", "p4", "q0", "a1", "a2", "b1", "b2"],
@@ -484,6 +484,7 @@ def make_wide_loop_net() -> WorkflowNet:
             ("a1", "a"), ("a", "a2"), ("b1", "b"), ("b", "b2"), ("a2", "join"), ("b2", "join"),
             ("join", "p2"),
         ],
+        marking_budget=marking_budget,
     )
 
 
@@ -510,15 +511,15 @@ def test_restores_run_out_of_marking_budget_exactly_where_replays_do(monkeypatch
             records.append((rng.choice([run for run in runs if run]).pop(0), timestamp, None))
             timestamp += rng.randint(0, 9)
         stream = build_uncorrelated_log(records)
-        config = AnnealerConfig(population=3, s_max=4, seed=trial, marking_budget=5)
+        config = AnnealerConfig(population=3, s_max=4, seed=trial)
         with monkeypatch.context() as patch:
             patch.setattr(annealer_module, "replay_prefix", counted)
-            restored = anneal(stream, make_wide_loop_net(), RuleSet(rules=()), config)
+            restored = anneal(stream, make_wide_loop_net(5), RuleSet(rules=()), config)
             patch.setattr(annealer_module, "replay_prefix", always_replayed)
-            replayed = anneal(stream, make_wide_loop_net(), RuleSet(rules=()), config)
+            replayed = anneal(stream, make_wide_loop_net(5), RuleSet(rules=()), config)
         # debug_recompute restores and replays every prefix, and both run out of budget alike
         checked = anneal(
-            stream, make_wide_loop_net(), RuleSet(rules=()), replace(config, debug_recompute=True)
+            stream, make_wide_loop_net(5), RuleSet(rules=()), replace(config, debug_recompute=True)
         )
         assert restored.records == replayed.records == checked.records, trial
         assert restored.best.log.assignment == replayed.best.log.assignment, trial
@@ -656,7 +657,7 @@ def test_debug_recompute_accepts_consistent_caches(demo_net, demo_rules):
 
     stream = make_demo_stream()
     config = AnnealerConfig(debug_recompute=True)
-    cache = AlignmentCache()
+    cache = AlignmentCache(demo_net)
     individual = evaluate_individual(
         stream, dict(DEMO_X), demo_net, demo_rules, cache, config
     )
@@ -669,11 +670,13 @@ def test_debug_recompute_checks_the_replay_witness_against_the_search(
     stream = make_demo_stream()
     config = AnnealerConfig(debug_recompute=True)
     # c3 = <A, D> does not replay; a witness that accepts it reads cost 0
-    monkeypatch.setattr(wfnet_module, "_replays", lambda net, trace, budget: True)
-    lied = evaluate_individual(stream, dict(DEMO_X), demo_net, demo_rules, AlignmentCache())
+    monkeypatch.setattr(wfnet_module, "_replays", lambda net, trace: True)
+    lied = evaluate_individual(stream, dict(DEMO_X), demo_net, demo_rules, AlignmentCache(demo_net))
     assert lied.fa == 0
     with pytest.raises(AssertionError, match="recomputed"):
-        evaluate_individual(stream, dict(DEMO_X), demo_net, demo_rules, AlignmentCache(), config)
+        evaluate_individual(
+            stream, dict(DEMO_X), demo_net, demo_rules, AlignmentCache(demo_net), config
+        )
 
 
 def test_debug_recompute_checks_the_rule_verdict_memo(demo_net, demo_rules):
@@ -763,7 +766,7 @@ def test_delta_energies_match_the_oracles_along_random_proposal_chains():
         net, rules, stream = random_decoder_instance(rng)
         # every evaluation also rebuilds its totals from scratch and compares
         config = AnnealerConfig(s_max=4, debug_recompute=True)
-        cache, verdicts, costs = AlignmentCache(), {}, {}
+        cache, verdicts, costs = AlignmentCache(net), {}, {}
         current = initial_individual(
             stream, net, rules, random.Random(trial), config, cache, "S", verdicts
         )
@@ -945,13 +948,8 @@ def test_run_validates_its_config(demo_net, demo_rules):
         anneal(stream, demo_net, demo_rules, AnnealerConfig(population=0))
     with pytest.raises(InputError):
         anneal(stream, demo_net, demo_rules, AnnealerConfig(s_max=0))
-    for bad in [
-        {"marking_budget": 0},
-        {"marking_budget": -5},
-        {"state_budget": 0},
-    ]:
-        with pytest.raises(InputError):
-            anneal(stream, demo_net, demo_rules, AnnealerConfig(**bad))
+    with pytest.raises(InputError, match="state_budget must be at least 1"):
+        anneal(stream, demo_net, demo_rules, AnnealerConfig(state_budget=0))
     for tau_init in [0, 0.0, -5, float("nan"), float("inf"), -float("inf")]:
         with pytest.raises(InputError, match="tau_init"):
             anneal(stream, demo_net, demo_rules, AnnealerConfig(tau_init=tau_init))
@@ -994,9 +992,9 @@ def test_an_over_budget_neighbour_loses_instead_of_aborting(demo_net, demo_rules
 class _ForgetfulCache(AlignmentCache):
     """A reference cache without the failure memo: a failed trace is searched every time."""
 
-    def get_or_compute(self, net, trace, state_budget):
+    def get_or_compute(self, trace):
         self._failed.clear()
-        return super().get_or_compute(net, trace, state_budget)
+        return super().get_or_compute(trace)
 
 
 def test_an_over_budget_trace_fails_once_per_run(monkeypatch):

@@ -13,7 +13,9 @@ from caseweave import (
     Case,
     EventLog,
     InputError,
+    Transition,
     UncorrelatedLog,
+    WorkflowNet,
     build_uncorrelated_log,
     correlate,
     format_timestamp,
@@ -360,6 +362,18 @@ def test_pnml_reader_rejects_broken_files(tmp_path):
         read_pnml(str(garbage))
 
 
+def test_the_net_and_the_pnml_reader_refuse_a_marking_budget_below_1():
+    flow_net = str(FIXTURES / "flow_net.pnml")
+    for bad in (0, -5):
+        message = f"marking_budget must be at least 1, got {bad}"
+        with pytest.raises(InputError, match=message):
+            WorkflowNet(["p"], [Transition("t", "A")], [("p", "t")], marking_budget=bad)
+        with pytest.raises(InputError, match=message):
+            read_pnml(flow_net, marking_budget=bad)
+    assert read_pnml(flow_net, marking_budget=1).marking_budget == 1
+    assert read_pnml(flow_net).marking_budget == 10_000
+
+
 def test_inline_pnml_behaves_like_the_demo_net(tmp_path):
     path = tmp_path / "demo.pnml"
     path.write_text(DEMO_PNML)
@@ -639,6 +653,31 @@ def test_cli_exit_codes(workspace, capsys):
     ])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+    # so does a silent closure past --marking-budget while decoding.  After A, a
+    # silent AND-split into three one-step silent branches joins silently into
+    # the sink, and C goes there at once: the reachability check meets the sink
+    # within 4 markings, while the closure after A holds 10.
+    places = ["i", "p", "o", "b1", "b2", "b3", "c1", "c2", "c3"]
+    transitions = [f"<transition id='{t}'><name><text>{t}</text></name></transition>" for t in "AC"]
+    transitions += [f"<transition id='{t}'/>" for t in ["split", "join", "s1", "s2", "s3"]]
+    arcs = [("i", "A"), ("A", "p"), ("p", "C"), ("C", "o"), ("p", "split"), ("join", "o")]
+    for n in "123":
+        arcs += [("split", f"b{n}"), (f"b{n}", f"s{n}"), (f"s{n}", f"c{n}"), (f"c{n}", "join")]
+    wide = workspace / "wide.pnml"
+    wide.write_text(
+        "<pnml><net>"
+        + "".join(f"<place id='{p}'/>" for p in places)
+        + "".join(transitions)
+        + "".join(f"<arc id='a{n}' source='{s}' target='{t}'/>" for n, (s, t) in enumerate(arcs))
+        + "</net></pnml>"
+    )
+    stream = workspace / "ac.csv"
+    write_log_csv(build_uncorrelated_log([("A", 0, None), ("C", 5, None)]), str(stream))
+    argv = ["correlate", "--log", str(stream), "--model", str(wide),
+            "--out", str(workspace / "o.csv"), "--marking-budget"]
+    assert main([*argv, "9"]) == 2
+    assert "search budget exhausted: silent closure exceeded 9 markings" in capsys.readouterr().err
+    assert main([*argv, "10"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -663,25 +702,32 @@ def test_cli_refuses_logs_it_would_misread(workspace, capsys, content, refusal):
 
 
 _MUTANT_TEXT = ' ,"\n\r\t-_aZ09é٣'
+# the one refusal of a single damaged row that names no line: its case cell went blank
+_WHOLE_FILE = "case column is only partially filled"
 
 
-def mutant_log(rng, path) -> tuple[str, bytes]:
-    """A mutation of the log CSV at ``path``: its kind, and the mutant's bytes.
+def mutant_log(rng, path) -> tuple[str, int | None, bytes]:
+    """A mutation of the log CSV at ``path``: its kind, the line it damaged, and its bytes.
 
     Up to three data cells get random text, up to 6,000 digits, or a timestamp
     year from 1 to 9999; or a byte that is not UTF-8 goes in anywhere; or one
-    column is dropped, repeated, moved or emptied in every row.
+    column is dropped, repeated, moved or emptied in every row.  The line is
+    the one that holds the bad byte, or that ends the one row whose cells were
+    drawn, as the csv module counts lines; it is None for any other mutant.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         header, *rows = csv.reader(handle)
     kind = rng.choice(["text", "digits", "year", "bytes", "drop", "repeat", "reorder", "blank"])
+    drawn: set[int] = set()  # the rows whose cells were drawn
     if kind == "blank":
         at = rng.randrange(len(header))
         for row in rows:
             row[at] = ""
     elif kind in ("text", "digits", "year"):
         for _ in range(rng.randint(1, 3)):
-            row = rng.choice(rows)
+            index = rng.randrange(len(rows))
+            drawn.add(index)
+            row = rows[index]
             at = rng.randrange(len(row))
             if kind == "year":  # the first four digits of either format are the year
                 at = header.index("timestamp")
@@ -704,10 +750,17 @@ def mutant_log(rng, path) -> tuple[str, bytes]:
     writer.writerow(header)
     writer.writerows(rows)
     data = out.getvalue().encode("utf-8")
+    line = None
     if kind == "bytes":
         at = rng.randrange(len(data) + 1)
         data = data[:at] + bytes([rng.randint(0x80, 0xFF)]) + data[at:]
-    return kind, data
+        line = len(re.split(rb"\r\n|\r|\n", data[:at]))
+    elif len(drawn) == 1:
+        reader = csv.reader(io.StringIO(out.getvalue(), newline=""))
+        for _record in range(min(drawn) + 2):  # the header, then the rows up to the drawn one
+            next(reader)
+        line = reader.line_num
+    return kind, line, data
 
 
 def rows_less_the_case_column(path) -> list:
@@ -742,16 +795,20 @@ def test_cli_reads_log_mutants_back_or_refuses_them_by_name(tmp_path, capsys):
     ]
     mutant, out = tmp_path / "mutant.csv", tmp_path / "out.csv"
     outcomes = Counter()
-    emptied = 0
+    emptied = lined = 0
     for trial in range(400):
         path, fmt, command = bases[trial % 3]
-        kind, data = mutant_log(seeded_rng("log mutants", trial), path)
+        kind, line, data = mutant_log(seeded_rng("log mutants", trial), path)
         mutant.write_bytes(data)
         code = main([*command, "--log", str(mutant), "--out", str(out), "--timestamp-format", fmt])
         err = capsys.readouterr().err
         assert code in (0, 1), (trial, data)
         if code == 1:
             assert err.startswith(f"caseweave: {mutant}"), (trial, err)
+            # a refusal of one damaged row names its line, unless it is about the whole file
+            if line is not None and not err.startswith(f"caseweave: {mutant}: {_WHOLE_FILE}"):
+                assert err.startswith(f"caseweave: {mutant}:{line}: "), (trial, line, err)
+                lined += 1
         else:
             assert rows_less_the_case_column(out) == rows_less_the_case_column(mutant), (
                 trial, data
@@ -763,6 +820,7 @@ def test_cli_reads_log_mutants_back_or_refuses_them_by_name(tmp_path, capsys):
     assert {kind for kind, _ in outcomes} == kinds, outcomes
     assert {kind for kind, code in outcomes if code == 0} == kinds - {"bytes", "repeat"}, outcomes
     assert emptied > 0  # an attribute column with no filled cell was written back
+    assert lined > 0, outcomes
 
 
 def test_cli_check_rules_refusals_name_the_file_and_line(workspace, capsys):
@@ -842,3 +900,19 @@ def test_cli_rejects_malformed_nets(workspace, tmp_path, capsys):
         "simulate", "--model", str(bad), "--cases", "2", "--out", str(tmp_path / "o.csv"),
     ])
     assert code == 1
+    # correlate also checks that the start activity cannot recur within a case, as
+    # the decoder opens a case at each one; <A, B, A, C> is one case of the cycle net
+    cycle = FIXTURES / "start_on_cycle.pnml"
+    stream = tmp_path / "abac.csv"
+    write_log_csv(build_uncorrelated_log([(a, n, None) for n, a in enumerate("ABAC")]), str(stream))
+    out = ["--out", str(tmp_path / "o.csv")]
+    for model, problem in [
+        # a net that fails the structural checks has no start activity to check
+        (bad, "expected one source place, found ['p1', 'p3']"),
+        (cycle, "start transition ta lies on a cycle"),
+    ]:
+        capsys.readouterr()
+        assert main(["correlate", "--model", str(model), "--log", str(stream), *out]) == 1
+        assert capsys.readouterr().err.startswith(f"caseweave: {model}: {problem}")
+    # simulate opens each case itself, so the cycle net simulates
+    assert main(["simulate", "--model", str(cycle), "--cases", "2", *out]) == 0

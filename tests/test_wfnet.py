@@ -184,7 +184,9 @@ def test_advance_breaks_silent_ties_by_definition_order():
     assert advance(net, {"p1": 1}, "A") is net.node({"p4": 1})
 
 
-def make_silent_chain(width: int) -> WorkflowNet:
+def make_silent_chain(
+    width: int, marking_budget: int = wfnet_module.DEFAULT_MARKING_BUDGET
+) -> WorkflowNet:
     places = [f"p{i}" for i in range(width + 2)]
     transitions = [Transition(f"s{i}", None) for i in range(width)]
     transitions.append(Transition("tz", "Z"))
@@ -194,17 +196,17 @@ def make_silent_chain(width: int) -> WorkflowNet:
         arcs.append((f"s{i}", f"p{i + 1}"))
     arcs.append((f"p{width}", "tz"))
     arcs.append(("tz", f"p{width + 1}"))
-    return WorkflowNet(places=places, transitions=transitions, arcs=arcs)
+    return WorkflowNet(places, transitions, arcs, marking_budget)
 
 
 def test_closure_respects_the_marking_budget():
     assert enabled_activities(make_silent_chain(30), {"p0": 1}) == frozenset({"Z"})
-    # each call is held to its own budget, on a fresh net as on a warm one
+    # the closure of p0 holds 31 markings
     with pytest.raises(BudgetExceeded):
-        enabled_activities(make_silent_chain(30), {"p0": 1}, budget=5)
+        enabled_activities(make_silent_chain(30, marking_budget=5), {"p0": 1})
 
 
-def make_silent_and_split(width: int) -> WorkflowNet:
+def make_silent_and_split(width: int, marking_budget: int) -> WorkflowNet:
     """A, a silent AND-split into ``width`` one-step silent branches, a silent join, then Z.
 
     The silent closure after A holds 2 ** width + 2 markings.
@@ -218,16 +220,16 @@ def make_silent_and_split(width: int) -> WorkflowNet:
         places += [f"b{i}", f"c{i}"]
         transitions.append(Transition(f"s{i}", None))
         arcs += [("split", f"b{i}"), (f"b{i}", f"s{i}"), (f"s{i}", f"c{i}"), (f"c{i}", "join")]
-    return WorkflowNet(places=places, transitions=transitions, arcs=arcs)
+    return WorkflowNet(places, transitions, arcs, marking_budget)
 
 
-def test_a_warm_net_applies_a_smaller_budget_as_a_fresh_one_does():
+def test_every_closure_walk_is_held_to_the_nets_marking_budget():
     stream = build_uncorrelated_log([("A", 0, None), ("Z", 5, None)])
     no_rules = RuleSet(rules=())
     calls = {
-        "enabled_activities": lambda net: enabled_activities(net, {"split_in": 1}, budget=50),
-        "is_final": lambda net: is_final(net, {"split_in": 1}, budget=50),
-        "run": lambda net: run(stream, net, no_rules, AnnealerConfig(marking_budget=50)),
+        "enabled_activities": lambda net: enabled_activities(net, {"split_in": 1}),
+        "is_final": lambda net: is_final(net, {"split_in": 1}),
+        "run": lambda net: run(stream, net, no_rules, AnnealerConfig()),
     }
 
     def raised(call, net: WorkflowNet) -> str:
@@ -235,16 +237,19 @@ def test_a_warm_net_applies_a_smaller_budget_as_a_fresh_one_does():
             call(net)
         return str(info.value)
 
-    fresh = {name: raised(call, make_silent_and_split(8)) for name, call in calls.items()}
-    assert set(fresh.values()) == {"silent closure exceeded 50 markings"}
-    warm = make_silent_and_split(8)
-    assert run(stream, warm, no_rules, AnnealerConfig(population=2, s_max=2)).best.fa == 0
-    assert {name: raised(call, warm) for name, call in calls.items()} == fresh
-    # a budget that covers the kept closure still gets its answer
-    assert enabled_activities(warm, {"split_in": 1}, budget=258) == frozenset({"Z"})
-    assert not is_final(warm, {"split_in": 1}, budget=258)
+    net = make_silent_and_split(8, marking_budget=50)
+    # a walk past the budget keeps nothing, so a second round raises alike
+    for _again in range(2):
+        assert {name: raised(call, net) for name, call in calls.items()} == dict.fromkeys(
+            calls, "silent closure exceeded 50 markings"
+        )
+    # the closure of split_in holds 2 ** 8 + 2 markings: a budget of 258 walks it, 257 does not
+    covered = make_silent_and_split(8, marking_budget=258)
+    assert run(stream, covered, no_rules, AnnealerConfig(population=2, s_max=2)).best.fa == 0
+    assert enabled_activities(covered, {"split_in": 1}) == frozenset({"Z"})
+    assert not is_final(covered, {"split_in": 1})
     with pytest.raises(BudgetExceeded, match="exceeded 257 markings"):
-        is_final(warm, {"split_in": 1}, budget=257)
+        is_final(make_silent_and_split(8, marking_budget=257), {"split_in": 1})
 
 
 def test_a_multi_sink_net_answers_moves_but_not_finality():
@@ -518,12 +523,12 @@ def test_alignment_search_exhausts_a_net_that_cannot_finish(trace):
 
 
 def test_alignment_cache_computes_each_trace_once(demo_net):
-    cache = AlignmentCache()
-    first = cache.get_or_compute(demo_net, ("A", "B", "C"))
-    again = cache.get_or_compute(demo_net, ("A", "B", "C"))
+    cache = AlignmentCache(demo_net)
+    first = cache.get_or_compute(("A", "B", "C"))
+    again = cache.get_or_compute(("A", "B", "C"))
     assert first == again == 0
     assert len(cache) == 1
-    cache.get_or_compute(demo_net, ("A", "D"))
+    cache.get_or_compute(("A", "D"))
     assert len(cache) == 2
 
 
@@ -544,33 +549,18 @@ def test_alignment_cache_searches_a_failed_trace_once(demo_net, monkeypatch):
     # ("A", "D") does not replay, and its search settles 8 states before its
     # alignment is found
     searches = _count_searches(monkeypatch)
-    cache = AlignmentCache()
+    cache = AlignmentCache(demo_net, state_budget=7)
     with pytest.raises(BudgetExceeded) as first:
-        cache.get_or_compute(demo_net, ("A", "D"), state_budget=7)
+        cache.get_or_compute(("A", "D"))
     with pytest.raises(BudgetExceeded) as again:
-        cache.get_or_compute(demo_net, ("A", "D"), state_budget=7)
-    with pytest.raises(BudgetExceeded) as smaller:
-        cache.get_or_compute(demo_net, ("A", "D"), state_budget=2)
+        cache.get_or_compute(("A", "D"))
+    with pytest.raises(BudgetExceeded) as third:
+        cache.get_or_compute(["A", "D"])  # any sequence of the same symbols
     assert searches == [7]
     # fresh exceptions, so no traceback grows across raises
-    assert again.value is not first.value and smaller.value is not first.value
-    assert str(again.value) == str(smaller.value) == str(first.value)
+    assert again.value is not first.value and third.value is not first.value
+    assert str(again.value) == str(third.value) == str(first.value)
     assert len(cache) == 0  # failures are not costs
-
-
-def test_alignment_cache_searches_again_under_a_larger_budget(demo_net, monkeypatch):
-    searches = _count_searches(monkeypatch)
-    cache = AlignmentCache()
-    with pytest.raises(BudgetExceeded):
-        cache.get_or_compute(demo_net, ("A", "D"), state_budget=4)
-    with pytest.raises(BudgetExceeded):
-        cache.get_or_compute(demo_net, ("A", "D"), state_budget=7)
-    with pytest.raises(BudgetExceeded):
-        cache.get_or_compute(demo_net, ("A", "D"), state_budget=5)
-    assert cache.get_or_compute(demo_net, ("A", "D"), state_budget=8) == 1
-    assert cache.get_or_compute(demo_net, ("A", "D"), state_budget=1) == 1
-    assert searches == [4, 7, 8]
-    assert len(cache) == 1
 
 
 def test_the_replay_witness_proves_only_zero_costs(monkeypatch):
@@ -586,7 +576,7 @@ def test_the_replay_witness_proves_only_zero_costs(monkeypatch):
         traces += [random_trace(net, rng) for _ in range(3)]
         for trace in traces:
             before = len(searches)
-            cost = AlignmentCache().get_or_compute(net, trace)
+            cost = AlignmentCache(net).get_or_compute(trace)
             want = astar_align_reference(net, trace, wfnet_module.DEFAULT_STATE_BUDGET)
             assert cost == want.cost, (trial, trace)
             if len(searches) == before:
@@ -602,17 +592,17 @@ def test_the_replay_witness_proves_only_zero_costs(monkeypatch):
 
 def test_a_closure_over_the_marking_budget_falls_back_to_the_search(monkeypatch):
     searches = _count_searches(monkeypatch)
-    net = make_silent_chain(30)  # Z sits behind 30 silent steps
-    # the replay's closure needs 31 markings, so the search answers instead
-    assert AlignmentCache(marking_budget=5).get_or_compute(net, ("Z",)) == 0
+    # Z sits behind 30 silent steps: the replay's closure needs 31 markings,
+    # so under a budget of 5 the search answers instead
+    assert AlignmentCache(make_silent_chain(30, marking_budget=5)).get_or_compute(("Z",)) == 0
     assert len(searches) == 1
-    assert AlignmentCache().get_or_compute(net, ("Z",)) == 0
+    assert AlignmentCache(make_silent_chain(30)).get_or_compute(("Z",)) == 0
     assert len(searches) == 1
 
 
 def test_a_replayed_trace_needs_no_state_budget(demo_net, monkeypatch):
     searches = _count_searches(monkeypatch)
-    assert AlignmentCache().get_or_compute(demo_net, ("A", "B", "C"), state_budget=1) == 0
+    assert AlignmentCache(demo_net, state_budget=1).get_or_compute(("A", "B", "C")) == 0
     assert searches == []
     with pytest.raises(BudgetExceeded):  # the search itself settles 5 states
         align_trace(demo_net, ("A", "B", "C"), state_budget=1)
@@ -621,9 +611,9 @@ def test_a_replayed_trace_needs_no_state_budget(demo_net, monkeypatch):
 def test_alignment_cache_is_thread_consistent(loop_net):
     traces = [("A", "C", "E", "F"), ("A", "E", "F"), ("A", "D", "E", "F"), ("Z",)] * 8
     serial = [align_trace(loop_net, t).cost for t in traces]
-    cache = AlignmentCache()
+    cache = AlignmentCache(loop_net)
     with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda t: cache.get_or_compute(loop_net, t), traces))
+        parallel = list(pool.map(cache.get_or_compute, traces))
     assert parallel == serial
 
 
