@@ -61,7 +61,6 @@ from .model import (
     strip_case_ids,
 )
 from .rules import (
-    RuleDiagnostics,
     RuleSet,
     RuleSyntaxError,
     parse_rules,

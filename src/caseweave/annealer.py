@@ -219,24 +219,19 @@ class StreamDecoder:
 
     ``assignment`` is a :class:`Proposal` whose ``runs`` are ``cases``.
 
+    ``start_activity`` comes from the net (:func:`infer_start_activity`), which
+    enables it and nothing else at its initial marking.
+
     The decoder also counts how its ``step`` calls ended: ``opened`` a case,
     ``fitted`` an open case, or were absorbed as ``deviations`` (these three sum
     to the calls), plus the ``ties_drawn`` with the RNG and the open cases
     ``scanned`` for a fit.  The counts draw no RNG and change no assignment.
     """
 
-    def __init__(
-        self,
-        net: WorkflowNet,
-        rules: RuleSet,
-        rng: random.Random,
-        start_activity: str | None = None,
-    ) -> None:
+    def __init__(self, net: WorkflowNet, rules: RuleSet, rng: random.Random) -> None:
         self.rules = rules
         self.rng = rng
-        self.start_activity = (
-            start_activity if start_activity is not None else infer_start_activity(net)
-        )
+        self.start_activity = infer_start_activity(net)
         self.initial = net.initial
         self.cases: dict[str, CaseRun] = {}
         self.open_runs: dict[str, CaseRun] = {}
@@ -340,9 +335,9 @@ class StreamDecoder:
                     if event.activity in chosen.node.moves():
                         chosen.diverged = True
             else:
+                # the initial marking enables only the start activity: a replay would not fire it
                 self.opened += 1
                 chosen = self.open_case()
-                chosen.diverged = True  # a replay would fire the event if the net enables it
         chosen.events.append(event)
         self.assignment[event.index] = chosen.case_id
         return chosen.case_id
@@ -570,12 +565,11 @@ def initial_individual(
     rng: random.Random,
     config: AnnealerConfig | None = None,
     cache: AlignmentCache | None = None,
-    start_activity: str | None = None,
     verdicts: dict[tuple[int, ...], tuple[int, int]] | None = None,
 ) -> Individual:
     """Decode the whole stream greedily and evaluate it."""
     config = config or AnnealerConfig()
-    decoder = StreamDecoder(net, rules, rng, start_activity)
+    decoder = StreamDecoder(net, rules, rng)
     assignment = decoder.run(stream.events)
     return evaluate_individual(stream, assignment, net, rules, cache, config, verdicts)
 
@@ -588,7 +582,6 @@ def neighbor(
     rules: RuleSet,
     rng: random.Random,
     config: AnnealerConfig,
-    start_activity: str | None = None,
 ) -> Proposal:
     """Propose a new assignment by re-decoding a random suffix.
 
@@ -601,7 +594,7 @@ def neighbor(
     n = len(stream)
     low = (n * (s_curr - 1)) // config.s_max + 1
     cut = rng.randint(low, n)
-    decoder = StreamDecoder(net, rules, rng, start_activity)
+    decoder = StreamDecoder(net, rules, rng)
     if config.debug_recompute:
         _restore_checked(decoder, net, rules, stream, current, cut)
     else:
@@ -641,7 +634,7 @@ def _restore_checked(
     The two decoders must hold the same state, or both raise BudgetExceeded
     in a silent closure; anything else raises AssertionError.
     """
-    replayed = StreamDecoder(net, rules, decoder.rng, decoder.start_activity)
+    replayed = StreamDecoder(net, rules, decoder.rng)
     outcomes: list[tuple | BudgetExceeded] = []
     for target, prefix in ((decoder, current), (replayed, current.assignment)):
         try:
@@ -721,7 +714,6 @@ def run(
     """
     config = config or AnnealerConfig()
     config.validate()
-    start_activity = infer_start_activity(net)
     cache = AlignmentCache(net, config.state_budget)
     verdicts: dict[tuple[int, ...], tuple[int, int]] = {}  # case_verdicts' memo, one per run
     master = random.Random(config.seed)
@@ -731,7 +723,7 @@ def run(
         current: Individual, rng: random.Random, s_curr: int, tau: float
     ) -> tuple[Individual, bool]:
         try:
-            proposal = neighbor(stream, current, s_curr, net, rules, rng, config, start_activity)
+            proposal = neighbor(stream, current, s_curr, net, rules, rng, config)
             candidate = evaluate_individual(
                 stream, proposal, net, rules, cache, config, verdicts, current
             )
@@ -742,7 +734,7 @@ def run(
         return chosen, chosen is candidate
 
     population = [
-        initial_individual(stream, net, rules, rng, config, cache, start_activity, verdicts)
+        initial_individual(stream, net, rules, rng, config, cache, verdicts)
         for rng in rngs
     ]
     best = _lex_best(None, population)

@@ -70,7 +70,11 @@ def _load_net(path: str, marking_budget: int = DEFAULT_MARKING_BUDGET, start: bo
     net = read_pnml(path, marking_budget)
     report = validate_net(net)
     if report.ok and start:
-        report = validate_net(net, infer_start_activity(net))
+        try:
+            start_activity = infer_start_activity(net)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
+        report = validate_net(net, start_activity)
     if not report.ok:
         raise InputError(f"{path}: " + "; ".join(report.problems))
     return net

@@ -10,13 +10,15 @@ Conditions compare ``e[i]`` or ``e[j]`` attributes against constants.
 Consequences compare ``e[j]`` against a constant or ``e[i]`` against ``e[j]``
 attribute-to-attribute, combined with AND/OR and parentheses.  ``e[j]`` is the
 closest earlier event whose conditions hold; rules that never mention ``e[j]``
-in their conditions read it as the immediate predecessor.  Duration rules bound
-the minutes between ``e[i]`` and its predecessor.
+in their conditions read it as the immediate predecessor.  ``IfThenRule.uses_j``
+is derived from the conditions, so the two cannot disagree.  Duration rules
+bound the minutes between ``e[i]`` and its predecessor.
 
 Attribute names resolve against the event payload; ``Act`` is the activity and
 ``Ts`` the timestamp.  A comparison with a missing attribute is unsatisfied,
-never an error.  Both sides parsing as integers compare numerically, anything
-else compares as strings.
+never an error, and nothing records it: evaluation returns counts only.  Both
+sides parsing as integers compare numerically, anything else compares as
+strings.
 
 Evaluation answers two questions.  How many rules does an event keep if it is
 appended to a candidate case?  ``score_each`` answers it for every candidate at
@@ -38,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .model import Case, Event, EventLog, InputError, Scalar
@@ -88,7 +90,11 @@ class IfThenRule:
     label: str
     conditions: tuple[Comparison, ...]
     consequence: Expr
-    uses_j: bool
+
+    @functools.cached_property
+    def uses_j(self) -> bool:
+        """Whether a condition reads ``e[j]``; else ``e[j]`` is the immediate predecessor."""
+        return any(c.subject == "j" for c in self.conditions)
 
 
 @dataclass(frozen=True)
@@ -111,16 +117,6 @@ class RuleSet:
 
     def __iter__(self):
         return iter(self.rules)
-
-
-@dataclass
-class RuleDiagnostics:
-    """Collects soft findings during evaluation (missing attributes, padding)."""
-
-    missing_attributes: list[tuple[int, str]] = field(default_factory=list)
-
-    def record_missing(self, event_index: int, attribute: str) -> None:
-        self.missing_attributes.append((event_index, attribute))
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +258,7 @@ class _Parser:
         if self.peek("int") is not None:
             rule = self.parse_duration_tail(label, tuple(conditions))
         else:
-            consequence = self.parse_or()
-            uses_j = any(c.subject == "j" for c in conditions)
-            rule = IfThenRule(
-                label=label,
-                conditions=tuple(conditions),
-                consequence=consequence,
-                uses_j=uses_j,
-            )
+            rule = IfThenRule(label, tuple(conditions), self.parse_or())
         if not self.at_end():
             raise self._err("unexpected trailing input")
         return rule
@@ -445,40 +434,30 @@ def _compare(lhs: Scalar | None, op: str, rhs: Scalar | None) -> bool:
     return a >= b
 
 
-def _attr_value(event: Event, name: str, diag: RuleDiagnostics | None) -> Scalar | None:
+def _attr_value(event: Event, name: str) -> Scalar | None:
     if name == "Act":
         return event.activity
     if name == "Ts":
         return event.timestamp
-    value = event.attributes.get(name)
-    if value is None and diag is not None:
-        diag.record_missing(event.index, name)
-    return value
+    return event.attributes.get(name)
 
 
-def _conds_hold(
-    conditions: tuple[Comparison, ...],
-    subject: str,
-    event: Event,
-    diag: RuleDiagnostics | None,
-) -> bool:
+def _conds_hold(conditions: tuple[Comparison, ...], subject: str, event: Event) -> bool:
     return all(
-        _compare(_attr_value(event, c.attr, diag), c.op, c.value)
+        _compare(_attr_value(event, c.attr), c.op, c.value)
         for c in conditions
         if c.subject == subject
     )
 
 
-def _eval_expr(expr: Expr, e_i: Event, e_j: Event, diag: RuleDiagnostics | None) -> bool:
+def _eval_expr(expr: Expr, e_i: Event, e_j: Event) -> bool:
     if isinstance(expr, Comparison):
         if expr.rhs_attr is not None:
-            return _compare(
-                _attr_value(e_i, expr.attr, diag), expr.op, _attr_value(e_j, expr.rhs_attr, diag)
-            )
-        return _compare(_attr_value(e_j, expr.attr, diag), expr.op, expr.value)
+            return _compare(_attr_value(e_i, expr.attr), expr.op, _attr_value(e_j, expr.rhs_attr))
+        return _compare(_attr_value(e_j, expr.attr), expr.op, expr.value)
     if isinstance(expr, And):
-        return all(_eval_expr(item, e_i, e_j, diag) for item in expr.items)
-    return any(_eval_expr(item, e_i, e_j, diag) for item in expr.items)
+        return all(_eval_expr(item, e_i, e_j) for item in expr.items)
+    return any(_eval_expr(item, e_i, e_j) for item in expr.items)
 
 
 # Verdict of a rule that applies at the first event of a case but reads its missing
@@ -486,21 +465,20 @@ def _eval_expr(expr: Expr, e_i: Event, e_j: Event, diag: RuleDiagnostics | None)
 _UNANCHORED = object()
 
 
-def _read_event(rule: Rule, event: Event, diag: RuleDiagnostics | None) -> tuple[bool, object]:
+def _read_event(rule: Rule, event: Event) -> tuple[bool, object]:
     """Event side: whether the rule applies to ``event``, and a plain rule's own operand."""
     if isinstance(rule, EqRule):
-        return True, _attr_value(event, rule.attribute, diag)
-    return _conds_hold(rule.conditions, "i", event, diag), None
+        return True, _attr_value(event, rule.attribute)
+    return _conds_hold(rule.conditions, "i", event), None
 
 
 def _read_anchor(
-    rule: Rule, event: Event, operand: object, events: Sequence[Event], k: int,
-    diag: RuleDiagnostics | None,
+    rule: Rule, event: Event, operand: object, events: Sequence[Event], k: int
 ) -> object:
     """Anchor side: the verdict of a rule that applies to ``event`` read after ``events[:k]``."""
     if isinstance(rule, IfThenRule) and rule.uses_j:
         for m in range(k - 1, -1, -1):  # the closest earlier event meeting e[j]
-            if _conds_hold(rule.conditions, "j", events[m], diag):
+            if _conds_hold(rule.conditions, "j", events[m]):
                 anchor = events[m]
                 break
         else:
@@ -510,22 +488,20 @@ def _read_anchor(
     else:
         return _UNANCHORED
     if isinstance(rule, EqRule):
-        return _compare(operand, "==", _attr_value(anchor, rule.attribute, diag))
+        return _compare(operand, "==", _attr_value(anchor, rule.attribute))
     if isinstance(rule, EventTimeRule):
         return rule.dur_min <= event.timestamp - anchor.timestamp <= rule.dur_max
-    return _eval_expr(rule.consequence, event, anchor, diag)
+    return _eval_expr(rule.consequence, event, anchor)
 
 
-def _walk(
-    rule: Rule, events: tuple[Event, ...], diag: RuleDiagnostics | None
-) -> tuple[bool, bool]:
+def _walk(rule: Rule, events: tuple[Event, ...]) -> tuple[bool, bool]:
     """(triggered, violated) from one pass over a case, stopping at the first violation."""
     triggered = False
     for k, event in enumerate(events):
-        applies, operand = _read_event(rule, event, diag)
+        applies, operand = _read_event(rule, event)
         if not applies:
             continue
-        verdict = _read_anchor(rule, event, operand, events, k, diag)
+        verdict = _read_anchor(rule, event, operand, events, k)
         if verdict is False:
             return True, True
         triggered = triggered or verdict is not None
@@ -533,45 +509,46 @@ def _walk(
 
 
 def score_each(
-    rules: RuleSet, event: Event, histories: Sequence[Sequence[Event]],
-    diag: RuleDiagnostics | None = None,
+    rules: RuleSet, event: Event, histories: Sequence[Sequence[Event]]
 ) -> list[int]:
     """``score`` of ``event`` after each history, reading the event once per rule.
 
     The event is read as the tentative last event of each history.  A rule whose
-    conditions do not apply scores 0, not 1: vacuous truth earns nothing.
+    conditions do not apply scores 0, not 1: vacuous truth earns nothing, and
+    neither does a comparison with a missing attribute.  The scores are all it
+    returns, and it changes nothing.
     """
     scores = [0] * len(histories)
     for rule in rules:
-        applies, operand = _read_event(rule, event, diag)
+        applies, operand = _read_event(rule, event)
         if applies:
             for n, events in enumerate(histories):
-                if _read_anchor(rule, event, operand, events, len(events), diag) is True:
+                if _read_anchor(rule, event, operand, events, len(events)) is True:
                     scores[n] += 1
     return scores
 
 
-def score(rules: RuleSet, event: Event, case: Case, diag: RuleDiagnostics | None = None) -> int:
+def score(rules: RuleSet, event: Event, case: Case) -> int:
     """Number of rules the tentative assignment of ``event`` to ``case`` satisfies."""
-    return score_each(rules, event, (case.events,), diag)[0]
+    return score_each(rules, event, (case.events,))[0]
 
 
 def case_verdicts(
     rules: RuleSet, events: Sequence[Event],
     memo: dict[tuple[int, ...], tuple[int, int]] | None = None,
-    diag: RuleDiagnostics | None = None,
 ) -> tuple[int, int]:
     """One case's (triggered, violated) rule counts, from one walk per rule.
 
     ``memo`` maps a case's event indices to its counts, so one memo serves one
-    stream under one rule set.
+    stream under one rule set.  The counts are all a walk yields, so a memo hit
+    answers exactly as the walk it saves.
     """
     if not rules.rules:
         return (0, 0)
     key = tuple([e.index for e in events])
     counts = None if memo is None else memo.get(key)
     if counts is None:
-        walks = [_walk(rule, events, diag) for rule in rules]
+        walks = [_walk(rule, events) for rule in rules]
         counts = (sum(f for f, _ in walks), sum(b for _, b in walks))
         if memo is not None:
             memo[key] = counts
@@ -595,22 +572,18 @@ def mean_violation(total: int, scale: int, cases: int) -> float:
 
 
 def rule_cost(
-    log: EventLog, rules: RuleSet, diag: RuleDiagnostics | None = None,
+    log: EventLog, rules: RuleSet,
     memo: dict[tuple[int, ...], tuple[int, int]] | None = None,
 ) -> float:
     """Mean over cases of (violated triggered rules / triggered rules).
 
     Cases that trigger nothing contribute 0.  Always within [0, 1].  The mean
-    is summed exactly and rounded once.  ``memo`` is :func:`case_verdicts`'s;
-    a call with ``diag`` bypasses it.
+    is summed exactly and rounded once.  ``memo`` is :func:`case_verdicts`'s.
     """
     if not rules.rules or not log.cases:
         return 0.0
-    if diag is not None:
-        memo = None
     scale = violation_scale(rules)
     total = sum(
-        violation_share(case_verdicts(rules, case.events, memo, diag), scale)
-        for case in log.cases
+        violation_share(case_verdicts(rules, case.events, memo), scale) for case in log.cases
     )
     return mean_violation(total, scale, len(log.cases))

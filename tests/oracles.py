@@ -718,7 +718,7 @@ def random_trace(net: WorkflowNet, rng: random.Random, max_len: int = 6) -> tupl
 
 def _conds_hold_reference(conditions, subject: str, event: Event) -> bool:
     return all(
-        _compare(_attr_value(event, c.attr, None), c.op, c.value)
+        _compare(_attr_value(event, c.attr), c.op, c.value)
         for c in conditions
         if c.subject == subject
     )
@@ -728,9 +728,9 @@ def _eval_expr_reference(expr, e_i: Event, e_j: Event) -> bool:
     if isinstance(expr, Comparison):
         if expr.rhs_attr is not None:
             return _compare(
-                _attr_value(e_i, expr.attr, None), expr.op, _attr_value(e_j, expr.rhs_attr, None)
+                _attr_value(e_i, expr.attr), expr.op, _attr_value(e_j, expr.rhs_attr)
             )
-        return _compare(_attr_value(e_j, expr.attr, None), expr.op, expr.value)
+        return _compare(_attr_value(e_j, expr.attr), expr.op, expr.value)
     if isinstance(expr, And):
         return all(_eval_expr_reference(item, e_i, e_j) for item in expr.items)
     return any(_eval_expr_reference(item, e_i, e_j) for item in expr.items)
@@ -750,8 +750,8 @@ def e_sat_reference(rule, event: Event, case: Case) -> int:
     if isinstance(rule, EqRule):
         if not events:
             return 0
-        lhs = _attr_value(event, rule.attribute, None)
-        rhs = _attr_value(events[-1], rule.attribute, None)
+        lhs = _attr_value(event, rule.attribute)
+        rhs = _attr_value(events[-1], rule.attribute)
         return int(_compare(lhs, "==", rhs))
     if isinstance(rule, EventTimeRule):
         if not _conds_hold_reference(rule.conditions, "i", event) or not events:
@@ -791,8 +791,8 @@ def e_vio_reference(rule, case: Case, position: int) -> bool:
     if isinstance(rule, EqRule):
         if position == 1:
             return False
-        lhs = _attr_value(event, rule.attribute, None)
-        rhs = _attr_value(events[position - 2], rule.attribute, None)
+        lhs = _attr_value(event, rule.attribute)
+        rhs = _attr_value(events[position - 2], rule.attribute)
         return not _compare(lhs, "==", rhs)
     if isinstance(rule, EventTimeRule):
         if position == 1 or not _conds_hold_reference(rule.conditions, "i", event):
@@ -900,12 +900,7 @@ def random_rule(rng: random.Random, label: str = "C1"):
     conditions = tuple(
         _random_comparison(rng, rng.choice("iij")) for _ in range(rng.randint(1, 3))
     )
-    return IfThenRule(
-        label,
-        conditions,
-        _random_consequence(rng),
-        uses_j=any(c.subject == "j" for c in conditions),
-    )
+    return IfThenRule(label, conditions, _random_consequence(rng))
 
 
 def random_rule_events(rng: random.Random, count: int, start: int = 1) -> tuple[Event, ...]:

@@ -153,7 +153,11 @@ def test_run_with_the_reference_decoder_swapped_in(monkeypatch):
         config = AnnealerConfig(population=3, s_max=4, seed=trial)
         plain = anneal(stream, net, rules, config)
         with monkeypatch.context() as patch:
-            patch.setattr(annealer_module, "StreamDecoder", DecoderReference)
+            patch.setattr(
+                annealer_module,
+                "StreamDecoder",
+                lambda net, rules, rng: DecoderReference(net, rules, rng, "S"),
+            )
             # a neighbour hands replay_prefix its parent individual; the reference
             # replays that individual's assignment
             patch.setattr(
@@ -314,20 +318,20 @@ def test_a_restored_prefix_equals_its_replay_at_every_cut():
         config = AnnealerConfig(s_max=4)
         cache, verdicts = AlignmentCache(net), {}
         parent = initial_individual(
-            stream, net, rules, random.Random(trial), config, cache, "S", verdicts
+            stream, net, rules, random.Random(trial), config, cache, verdicts
         )
         parents = [parent]  # a decoded stream, then the links of a proposal chain
         for _step in range(3):
-            proposal = neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config, "S")
+            proposal = neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config)
             parent = evaluate_individual(
                 stream, proposal, net, rules, cache, config, verdicts, parent
             )
             parents.append(parent)
         for parent in parents:
             for cut in range(1, len(stream) + 2):
-                restored = StreamDecoder(net, rules, random.Random(0), "S")
+                restored = StreamDecoder(net, rules, random.Random(0))
                 replay_prefix(restored, stream, parent, cut)
-                replayed = StreamDecoder(net, rules, random.Random(0), "S")
+                replayed = StreamDecoder(net, rules, random.Random(0))
                 replay_prefix(replayed, stream, parent.assignment, cut)
                 assert_same_decoders(restored, replayed)
                 assert restored.assignment.cut == cut and replayed.assignment.cut == 1
@@ -337,27 +341,6 @@ def test_a_restored_prefix_equals_its_replay_at_every_cut():
                 moved_by_replay += replayed.cases[run.case_id].node is not run.node
     assert diverged >= 100
     assert moved_by_replay >= 10  # cases whose kept node a restore must not take
-
-
-def test_a_case_opened_without_firing_is_replayed_on_restore():
-    # S or T opens the net, and S is named the start activity: the leading T opens
-    # c1 without firing, where a replay fires it
-    net = WorkflowNet(
-        places=["p1", "p2", "p3"],
-        transitions=[Transition("t1", "S"), Transition("t2", "T"), Transition("t3", "E")],
-        arcs=[("p1", "t1"), ("t1", "p2"), ("p1", "t2"), ("t2", "p2"), ("p2", "t3"), ("t3", "p3")],
-    )
-    stream = build_uncorrelated_log([("T", 0, None), ("S", 5, None), ("E", 9, None)])
-    parent = initial_individual(stream, net, RuleSet(rules=()), random.Random(0), None, None, "S")
-    assert parent.assignment == {1: "c1", 2: "c2", 3: "c2"}
-    assert parent.runs["c1"].diverged and parent.runs["c1"].node is net.node({"p1": 1})
-    for cut in range(1, len(stream) + 2):
-        restored = StreamDecoder(net, RuleSet(rules=()), random.Random(0), "S")
-        replayed = StreamDecoder(net, RuleSet(rules=()), random.Random(0), "S")
-        replay_prefix(restored, stream, parent, cut)
-        replay_prefix(replayed, stream, parent.assignment, cut)
-        assert_same_decoders(restored, replayed)
-    assert restored.cases["c1"].node is net.node({"p2": 1})
 
 
 def run_snapshot(individual: Individual) -> dict:
@@ -376,12 +359,12 @@ def test_descendants_share_closed_runs_and_never_change_them():
         config = AnnealerConfig(s_max=4)
         cache, verdicts = AlignmentCache(net), {}
         parent = initial_individual(
-            stream, net, rules, random.Random(trial), config, cache, "S", verdicts
+            stream, net, rules, random.Random(trial), config, cache, verdicts
         )
         built = [(parent, run_snapshot(parent))]
         for _step in range(12):
             parent = built[rng.randrange(len(built))][0]  # any ancestor may propose again
-            proposal = neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config, "S")
+            proposal = neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config)
             for case_id, kept in parent.runs.items():
                 if kept.diverged or not kept.closed or kept.events[-1].index >= proposal.cut:
                     continue  # straddles the cut, diverged or open: never shared
@@ -410,18 +393,18 @@ def test_changed_cases_from_the_runs_match_the_mapping_path_at_every_cut():
         config = AnnealerConfig(s_max=4)
         cache, verdicts = AlignmentCache(net), {}
         parent = initial_individual(
-            stream, net, rules, random.Random(trial), config, cache, "S", verdicts
+            stream, net, rules, random.Random(trial), config, cache, verdicts
         )
         for _step in range(3):
             for cut in range(1, len(stream) + 2):
-                decoder = StreamDecoder(net, rules, random.Random(cut), "S")
+                decoder = StreamDecoder(net, rules, random.Random(cut))
                 replay_prefix(decoder, stream, parent, cut)
                 proposal = decoder.run(stream.events[cut - 1 :])
                 got = annealer_module._changed_runs(proposal, parent.assignment, cut)
                 want = changed_cases_reference(stream, parent.assignment, proposal, cut)
                 assert list(got.items()) == list(want.items()), (trial, cut)
                 found += len(got)
-            proposal = neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config, "S")
+            proposal = neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config)
             parent = evaluate_individual(
                 stream, proposal, net, rules, cache, config, verdicts, parent
             )
@@ -433,10 +416,10 @@ def test_a_from_scratch_evaluation_from_the_runs_equals_the_mapping_path():
         rng = seeded_rng("scratch-runs", trial)
         net, rules, stream = random_decoder_instance(rng)
         config = AnnealerConfig(s_max=4)
-        parent = initial_individual(stream, net, rules, random.Random(trial), config, None, "S")
+        parent = initial_individual(stream, net, rules, random.Random(trial), config)
         proposals = [
-            StreamDecoder(net, rules, random.Random(-trial), "S").run(stream.events),
-            neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config, "S"),
+            StreamDecoder(net, rules, random.Random(-trial)).run(stream.events),
+            neighbor(stream, parent, rng.randint(1, 4), net, rules, rng, config),
         ]
         for proposal in proposals:
             got = evaluate_individual(stream, proposal, net, rules)
@@ -573,9 +556,17 @@ def test_first_event_off_the_net_opens_without_firing(demo_net, demo_rules):
     decoder = StreamDecoder(demo_net, demo_rules, random.Random(0))
     assignment = decoder.run(stream.events)
     assert assignment == {1: "c1", 2: "c2"}
-    # the absorbed B did not move c1 off the initial marking
-    assert decoder.cases["c1"].node is demo_net.initial
-    assert not decoder.cases["c1"].closed
+    # the absorbed B did not move c1 off the initial marking, which enables only A:
+    # a replay does not fire B either, so c1 has not diverged
+    c1 = decoder.cases["c1"]
+    assert c1.node is demo_net.initial and not c1.closed and not c1.diverged
+    parent = evaluate_individual(stream, assignment, demo_net, demo_rules)
+    for cut in range(1, len(stream) + 2):
+        restored = StreamDecoder(demo_net, demo_rules, random.Random(0))
+        replayed = StreamDecoder(demo_net, demo_rules, random.Random(0))
+        replay_prefix(restored, stream, parent, cut)
+        replay_prefix(replayed, stream, parent.assignment, cut)
+        assert_same_decoders(restored, replayed)
 
 
 def test_unplayable_events_compete_across_closed_cases(demo_net, demo_rules):
@@ -768,12 +759,12 @@ def test_delta_energies_match_the_oracles_along_random_proposal_chains():
         config = AnnealerConfig(s_max=4, debug_recompute=True)
         cache, verdicts, costs = AlignmentCache(net), {}, {}
         current = initial_individual(
-            stream, net, rules, random.Random(trial), config, cache, "S", verdicts
+            stream, net, rules, random.Random(trial), config, cache, verdicts
         )
         for _step in range(10):
             if rng.random() < 0.7:  # a cut-and-redecode neighbour
                 level = rng.randint(1, config.s_max)
-                proposal = neighbor(stream, current, level, net, rules, rng, config, "S")
+                proposal = neighbor(stream, current, level, net, rules, rng, config)
             else:  # any partition that keeps a prefix: cases vanish and appear
                 proposal = dict(current.assignment)
                 for event in stream.events[rng.randint(1, len(stream)) - 1 :]:

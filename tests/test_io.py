@@ -910,6 +910,7 @@ def test_cli_rejects_malformed_nets(workspace, tmp_path, capsys):
         # a net that fails the structural checks has no start activity to check
         (bad, "expected one source place, found ['p1', 'p3']"),
         (cycle, "start transition ta lies on a cycle"),
+        (FIXTURES / "two_starts.pnml", "expected exactly one start activity, found ['A', 'B']"),
     ]:
         capsys.readouterr()
         assert main(["correlate", "--model", str(model), "--log", str(stream), *out]) == 1

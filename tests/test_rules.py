@@ -7,7 +7,6 @@ import pytest
 from caseweave import (
     Case,
     Event,
-    RuleDiagnostics,
     RuleSet,
     RuleSyntaxError,
     UncorrelatedLog,
@@ -42,14 +41,14 @@ def case_of(*events):
     return Case("c", tuple(events))
 
 
-def keeps(rule, event, *earlier, diag=None):
+def keeps(rule, event, *earlier):
     """1 when ``event`` appended after ``earlier`` keeps ``rule``: its ``score`` under that rule."""
-    return score(RuleSet((rule,)), event, case_of(*earlier), diag)
+    return score(RuleSet((rule,)), event, case_of(*earlier))
 
 
-def verdicts(rule, *events, diag=None):
+def verdicts(rule, *events):
     """(triggered, violated) of the case ``events`` under ``rule`` alone."""
-    return case_verdicts(RuleSet((rule,)), events, diag=diag)
+    return case_verdicts(RuleSet((rule,)), events)
 
 
 # --- parsing -----------------------------------------------------------------
@@ -100,6 +99,18 @@ def test_nested_and_or_consequence_round_trips():
     assert isinstance(rule.consequence, Or)
     assert isinstance(rule.consequence.items[1], And)
     assert parse_rules(pretty_rules(ruleset)) == ruleset
+
+
+def test_uses_j_follows_the_conditions_of_a_rule_built_by_hand():
+    parsed = parse_rules('IF e[i].Act == "B" AND e[j].Act == "A" THEN e[i].Res == e[j].Res\n')
+    (rule,) = parsed.rules
+    by_hand = IfThenRule(rule.label, rule.conditions, rule.consequence)
+    assert by_hand == rule and by_hand.uses_j
+    # the anchor of B is A, not the C between them
+    case = (ev(1, "A", 0, Res="x"), ev(2, "C", 5, Res="y"), ev(3, "B", 9, Res="x"))
+    assert verdicts(by_hand, *case) == verdicts(rule, *case) == (1, 0)
+    with pytest.raises(TypeError):  # it is no field, so it cannot be set apart from them
+        IfThenRule(rule.label, rule.conditions, rule.consequence, uses_j=False)
 
 
 def test_parenthesized_or_inside_and():
@@ -187,12 +198,10 @@ def test_int_likeness_survives_the_memo():
         assert got == want and type(got) is type(want), repr(value)
 
 
-def test_missing_attributes_fail_quietly_and_get_recorded():
+def test_missing_attributes_fail_quietly():
     rule = EqRule("C1", "Type")
-    diag = RuleDiagnostics()
     bare = ev(2, "B", 1)
-    assert keeps(rule, bare, ev(1, "A", 0, Type="x"), diag=diag) == 0
-    assert (2, "Type") in diag.missing_attributes
+    assert keeps(rule, bare, ev(1, "A", 0, Type="x")) == 0
 
 
 def test_first_event_satisfies_nothing():
@@ -293,9 +302,7 @@ def test_diagnostics_flow_through_case_level_checks():
     stream_case = Case(
         "c", (ev(1, "A", 0, Color="red"), ev(2, "B", 5), ev(3, "C", 9, Color="red"))
     )
-    diag = RuleDiagnostics()
-    assert case_verdicts(rules, stream_case.events, diag=diag) == (1, 1)
-    assert (2, "Color") in diag.missing_attributes
+    assert case_verdicts(rules, stream_case.events) == (1, 1)
 
 
 def test_rule_evaluation_matches_the_reference_on_random_cases():
@@ -375,17 +382,3 @@ def test_rule_cost_with_a_run_memo_equals_the_reference_exactly():
             partitions += 1
             reused += known
     assert partitions >= 500 and reused >= 500  # cases recur across partitions
-
-
-def test_rule_cost_with_diagnostics_leaves_the_memo_alone():
-    for trial in range(200):
-        rng = seeded_rng("rule-cost-diag", trial)
-        rules = RuleSet(tuple(random_rule(rng, f"C{n}") for n in range(1, rng.randint(1, 4) + 1)))
-        stream = UncorrelatedLog(random_rule_events(rng, rng.randint(1, 12)))
-        log = next(_shared_partitions(rng, stream, 1))
-        memo = {tuple(e.index for e in case.events): (7, 7) for case in log.cases}  # all wrong
-        before = dict(memo)
-        with_memo, without = RuleDiagnostics(), RuleDiagnostics()
-        assert rule_cost(log, rules, with_memo, memo) == rule_cost(log, rules, without), trial
-        assert memo == before, trial
-        assert with_memo.missing_attributes == without.missing_attributes, trial
