@@ -310,6 +310,31 @@ def assert_same_decoders(got: StreamDecoder, want: StreamDecoder) -> None:
     assert list(got.assignment.items()) == list(want.assignment.items())
 
 
+def test_a_case_opened_without_firing_is_replayed_on_restore():
+    # S is the net's only start activity: the leading T opens c1 without firing, and
+    # a replay cannot fire T from the initial marking either, so c1 has not diverged
+    net = WorkflowNet(
+        places=["p1", "p2", "p3", "p4"],
+        transitions=[Transition("t1", "S"), Transition("t2", "T"), Transition("t3", "E")],
+        arcs=[("p1", "t1"), ("t1", "p2"), ("p2", "t2"), ("t2", "p3"), ("p3", "t3"), ("t3", "p4")],
+    )
+    stream = build_uncorrelated_log(
+        [("T", 0, None), ("S", 5, None), ("T", 7, None), ("E", 9, None)]
+    )
+    parent = initial_individual(stream, net, RuleSet(rules=()), random.Random(0))
+    assert parent.assignment == {1: "c1", 2: "c2", 3: "c2", 4: "c2"}
+    c1 = parent.runs["c1"]
+    assert c1.node is net.initial and not c1.closed and not c1.diverged
+    for cut in range(1, len(stream) + 2):
+        restored = StreamDecoder(net, RuleSet(rules=()), random.Random(0))
+        replayed = StreamDecoder(net, RuleSet(rules=()), random.Random(0))
+        replay_prefix(restored, stream, parent, cut)
+        replay_prefix(replayed, stream, parent.assignment, cut)
+        assert_same_decoders(restored, replayed)
+    assert restored.cases["c1"].node is net.initial
+    assert restored.cases["c2"].node is net.node({"p4": 1})
+
+
 def test_a_restored_prefix_equals_its_replay_at_every_cut():
     diverged = moved_by_replay = 0
     for trial in range(120):
