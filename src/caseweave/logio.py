@@ -6,12 +6,16 @@ minutes since 1970-01-01T00:00 internally; parsing uses a configurable strptime
 format and rounds sub-minute remainders half up.  Writing puts every ``%Y`` year
 in four digits, so years 1 to 9999 read back in any format.
 
-The default format skips ``strptime`` and ``strftime``: a row's date goes
-through one of two per-day memos (day text to its first minute, day number
-to its text), and its hour and minute are plain arithmetic.  Both memos are
-bounded and keyed by the day alone, so a log costs one date conversion per
-distinct day.  The reader looks cells up by the header's column indices and
-parses each distinct attribute text once per file.
+The reader takes a default-format cell in its fixed width, ``YYYY-MM-DD
+HH:MM`` in ASCII digits, apart by slicing: the day text goes through a memo
+of first minutes that lives for one read, so a file costs one date
+conversion per distinct day, and the ``HH:MM`` text is looked up in a
+constant table of the 1,440 minutes of a day.  Every other cell, an
+impossible day or time included, goes to :func:`parse_timestamp` and
+``strptime``, so it reads and fails as ``strptime`` has it.  The writer
+skips ``strftime`` for the default format through a bounded memo from day
+number to day text.  The reader looks cells up by the header's column
+indices and parses each distinct attribute text once per file.
 """
 
 from __future__ import annotations
@@ -41,18 +45,23 @@ _BOUND = (CASE_COLUMN, ACTIVITY_COLUMN, TIMESTAMP_COLUMN)
 _EPOCH = datetime(1970, 1, 1)
 
 
-# DEFAULT_TIMESTAMP_FORMAT's fixed-width spelling, in ASCII digits (``\d`` takes others too).
-_DEFAULT_TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}")
+# The day of DEFAULT_TIMESTAMP_FORMAT's fixed width, in ASCII digits (``\d`` takes others too).
+_DAY_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+# Each ``HH:MM`` of a day, in ASCII digits, to its minute of the day.
+_CLOCK_MINUTES = {f"{hour:02d}:{minute:02d}": 60 * hour + minute
+                  for hour in range(24) for minute in range(60)}
 
 _EPOCH_DAY = _EPOCH.date()
 
 
-@functools.lru_cache(maxsize=1024)
 def _day_start(day: str) -> int | None:
-    """Minutes from the epoch to the start of ``YYYY-MM-DD``, or None for no such day."""
+    """Minutes from the epoch to the start of ``YYYY-MM-DD``, or None for any other text."""
+    if not _DAY_RE.fullmatch(day):
+        return None
     try:
         return (date(int(day[:4]), int(day[5:7]), int(day[8:])) - _EPOCH_DAY).days * 1440
-    except ValueError:
+    except ValueError:  # no such day
         return None
 
 
@@ -64,20 +73,12 @@ def _day_text(days: int) -> str:
 
 
 def parse_timestamp(text: str, fmt: str = DEFAULT_TIMESTAMP_FORMAT) -> int:
-    """Wall-clock text to integer minutes; seconds of 30+ round up.
+    """Wall-clock text, stripped and read by ``strptime``, to integer minutes.
 
-    Text in the default format's fixed width is read by slicing, its day
-    through the day memo; anything else, an impossible date or time included,
-    goes through ``strptime``.
+    Seconds of 30 or more round up.
     """
-    stripped = text.strip()
-    if fmt == DEFAULT_TIMESTAMP_FORMAT and _DEFAULT_TIMESTAMP_RE.fullmatch(stripped):
-        day = _day_start(stripped[:10])
-        hour, minute = int(stripped[11:13]), int(stripped[14:])
-        if day is not None and hour < 24 and minute < 60:
-            return day + 60 * hour + minute
     try:
-        moment = datetime.strptime(stripped, fmt)
+        moment = datetime.strptime(text.strip(), fmt)
     except ValueError as exc:  # strptime's message names what is wrong
         raise InputError(f"bad timestamp {text!r}: {exc}") from exc
     delta = moment - _EPOCH
@@ -157,6 +158,8 @@ def read_log_csv(
             attribute_at = [(name, at) for name, at in column.items() if name not in _BOUND]
             width = len(header)
             parsed: dict[str, Scalar] = {}  # each distinct attribute text, parsed once
+            fixed_width = timestamp_format == DEFAULT_TIMESTAMP_FORMAT
+            days: dict[str, int | None] = {}  # each day text read, to its _day_start
             try:
                 for row in reader:
                     if not row:
@@ -169,7 +172,17 @@ def read_log_csv(
                     raw_ts = row[timestamp_at].strip()
                     if not raw_ts:
                         raise InputError("missing timestamp")
-                    timestamp = parse_timestamp(raw_ts, timestamp_format)
+                    timestamp = None
+                    if fixed_width and len(raw_ts) == 16 and raw_ts[10] == " ":
+                        day = raw_ts[:10]
+                        start = days.get(day)
+                        if start is None and day not in days:
+                            start = days[day] = _day_start(day)
+                        clock = _CLOCK_MINUTES.get(raw_ts[11:])
+                        if start is not None and clock is not None:
+                            timestamp = start + clock
+                    if timestamp is None:
+                        timestamp = parse_timestamp(raw_ts, timestamp_format)
                     attributes = {}
                     for name, at in attribute_at:
                         cell = row[at]

@@ -5,6 +5,9 @@ identity (their stream index), so the measures quantify how well the generated
 case structure reproduces the original one.  All l2l measures live in [0, 1]
 with 1 meaning perfect agreement; the smape measures are error rates with 0
 meaning perfect agreement.
+
+Each measure reads a log through one walk over its cases (:func:`_walk`);
+``evaluate`` walks each log once and hands both walks to all eight.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Case, EventLog, InputError, elapsed_time, cycle_time
+from .model import EventLog, InputError
 
 
 Trace = tuple[str, ...]
@@ -207,96 +210,122 @@ def l2l_freq(original: EventLog, generated: EventLog) -> float:
     return _frequency_similarity(cost, original)
 
 
-def _pair_by_first_event(
-    original: EventLog, generated: EventLog
-) -> list[tuple[Case, Case]]:
-    by_first = {c.events[0].index: c for c in generated.cases}
-    pairs = []
-    for case in original.cases:
-        partner = by_first.get(case.events[0].index)
-        if partner is not None:
-            pairs.append((case, partner))
-    return pairs
+class _Cases(NamedTuple):
+    """A log's cases, walked once in opening order, as the measures read them."""
+
+    runs: list[tuple[int, ...]]  # each case's event indices
+    traces: list[Trace]  # each case's activities
+    elapsed: dict[int, int]  # each event's minutes since its case's previous event, 0 for a first
+    cycles: list[int]  # each case's minutes from its first to its last event
 
 
-def l2l_first(original: EventLog, generated: EventLog) -> float:
-    """Shared tail events between cases that open with the same event."""
-    non_start = len(original.base.events) - len(original.cases)
+def _walk(log: EventLog) -> _Cases:
+    """One pass over the log's cases; a case's events come in stream order."""
+    runs, traces, cycles = [], [], []
+    elapsed: dict[int, int] = {}
+    for case in log.cases:
+        events = case.events
+        runs.append(tuple([e.index for e in events]))
+        traces.append(tuple([e.activity for e in events]))
+        previous = first = events[0].timestamp
+        for e in events:
+            elapsed[e.index] = e.timestamp - previous
+            previous = e.timestamp
+        cycles.append(previous - first)
+    return _Cases(runs, traces, elapsed, cycles)
+
+
+def _paired(original: _Cases, generated: _Cases) -> list[tuple[int, int]]:
+    """``(k, j)`` for each original case ``k`` whose first event opens generated case ``j``."""
+    opening = {run[0]: j for j, run in enumerate(generated.runs)}
+    return [(k, opening[run[0]]) for k, run in enumerate(original.runs) if run[0] in opening]
+
+
+def _first_share(original: _Cases, generated: _Cases) -> float:
+    non_start = len(original.elapsed) - len(original.runs)
     if non_start == 0:
         return 0.0
     shared = 0
-    for case, partner in _pair_by_first_event(original, generated):
-        tail = {e.index for e in case.events[1:]}
-        partner_tail = {e.index for e in partner.events[1:]}
-        shared += len(tail & partner_tail)
+    for k, j in _paired(original, generated):
+        shared += len(set(original.runs[k][1:]) & set(generated.runs[j][1:]))
     return shared / non_start
 
 
-def _ngram_fraction(original: EventLog, generated: EventLog, width: int) -> float:
-    """Mean per-case fraction of event n-grams that reappear contiguously."""
-    present: set[tuple[int, ...]] = set()
-    for case in generated.cases:
-        indices = [e.index for e in case.events]
-        for k in range(len(indices) - width + 1):
-            present.add(tuple(indices[k : k + width]))
-    total = 0.0
-    for case in original.cases:
-        indices = [e.index for e in case.events]
-        windows = len(indices) - width + 1
-        if windows <= 0:
-            continue  # short cases contribute 0, the case count stays as is
-        hits = sum(
-            tuple(indices[k : k + width]) in present for k in range(windows)
-        )
-        total += hits / windows
-    return total / len(original.cases)
+def _ngram_fractions(original: _Cases, generated: _Cases) -> tuple[float, float]:
+    """``l2l_2gram`` and ``l2l_3gram``: each case's share of event n-grams that reappear contiguously.
+
+    Every event sits once in one generated case, so an original n-gram
+    reappears exactly when each of its events is followed there by the next
+    one.  A case too short for a window scores 0 and still counts.
+    """
+    follows: dict[int, int] = {}
+    for run in generated.runs:
+        follows.update(zip(run, run[1:]))
+    two = three = 0.0
+    for run in original.runs:
+        kept = [follows.get(a) == b for a, b in zip(run, run[1:])]
+        if kept:
+            two += sum(kept) / len(kept)
+        if len(kept) > 1:
+            three += sum([x and y for x, y in zip(kept, kept[1:])]) / (len(kept) - 1)
+    return two / len(original.runs), three / len(original.runs)
 
 
-def l2l_2gram(original: EventLog, generated: EventLog) -> float:
-    return _ngram_fraction(original, generated, 2)
+def _exact_share(original: _Cases, generated: _Cases) -> float:
+    exact = set(generated.runs)
+    return sum(run in exact for run in original.runs) / len(original.runs)
 
 
-def l2l_3gram(original: EventLog, generated: EventLog) -> float:
-    return _ngram_fraction(original, generated, 3)
-
-
-def l2l_case(original: EventLog, generated: EventLog) -> float:
-    """Fraction of original cases reproduced exactly (same events, same order)."""
-    exact = {tuple(e.index for e in c.events) for c in generated.cases}
-    hits = sum(tuple(e.index for e in c.events) in exact for c in original.cases)
-    return hits / len(original.cases)
-
-
-def smape_et(original: EventLog, generated: EventLog) -> float:
-    """Symmetric error of per-event elapsed times between the two case contexts."""
-    non_start = len(original.base.events) - len(original.cases)
+def _elapsed_error(original: _Cases, generated: _Cases) -> float:
+    non_start = len(original.elapsed) - len(original.runs)
     if non_start == 0:
         return 0.0
-
-    def per_event(log: EventLog) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for case in log.cases:
-            for position, event in enumerate(case.events, start=1):
-                out[event.index] = elapsed_time(case, position)
-        return out
-
-    a, b = per_event(original), per_event(generated)
+    theirs = generated.elapsed
     total = 0.0
-    for index, left in a.items():
-        right = b[index]
+    for index, left in original.elapsed.items():
+        right = theirs[index]
         if left + right > 0:
             total += abs(left - right) / (left + right)
     return total / non_start
 
 
-def smape_ct(original: EventLog, generated: EventLog) -> float:
-    """Symmetric error of cycle times over cases that open with the same event."""
+def _cycle_error(original: _Cases, generated: _Cases) -> float:
     total = 0.0
-    for case, partner in _pair_by_first_event(original, generated):
-        left, right = cycle_time(case), cycle_time(partner)
+    for k, j in _paired(original, generated):
+        left, right = original.cycles[k], generated.cycles[j]
         if left + right > 0:
             total += abs(left - right) / (left + right)
-    return total / len(original.cases)
+    return total / len(original.runs)
+
+
+def l2l_first(original: EventLog, generated: EventLog) -> float:
+    """Shared tail events between cases that open with the same event."""
+    return _first_share(_walk(original), _walk(generated))
+
+
+def l2l_2gram(original: EventLog, generated: EventLog) -> float:
+    """Mean per-case fraction of event 2-grams that reappear contiguously."""
+    return _ngram_fractions(_walk(original), _walk(generated))[0]
+
+
+def l2l_3gram(original: EventLog, generated: EventLog) -> float:
+    """Mean per-case fraction of event 3-grams that reappear contiguously."""
+    return _ngram_fractions(_walk(original), _walk(generated))[1]
+
+
+def l2l_case(original: EventLog, generated: EventLog) -> float:
+    """Fraction of original cases reproduced exactly (same events, same order)."""
+    return _exact_share(_walk(original), _walk(generated))
+
+
+def smape_et(original: EventLog, generated: EventLog) -> float:
+    """Symmetric error of per-event elapsed times between the two case contexts."""
+    return _elapsed_error(_walk(original), _walk(generated))
+
+
+def smape_ct(original: EventLog, generated: EventLog) -> float:
+    """Symmetric error of cycle times over cases that open with the same event."""
+    return _cycle_error(_walk(original), _walk(generated))
 
 
 @dataclass(frozen=True)
@@ -341,20 +370,22 @@ def evaluate(original: EventLog, generated: EventLog) -> MeasureReport:
             f"case counts differ ({len(original.cases)} vs {len(generated.cases)}); "
             "the matching pads with empty cases"
         )
+    ours, theirs = _walk(original), _walk(generated)
     # one table serves l2l_trace and l2l_freq: its rows are the originals
     # either needs, its columns every partner and the empty padding trace
-    originals, partners = _variants(original), _variants(generated)
+    originals, partners = Counter(ours.traces), Counter(theirs.traces)
     rest_a, rest_b = _unmatched(originals, partners)
     rows = dict.fromkeys([*_unshared(originals, partners), *rest_a])
     table = _tabulate(list(rows), [*partners, ()])
+    two_grams, three_grams = _ngram_fractions(ours, theirs)
     return MeasureReport(
         l2l_trace=_trace_similarity(originals, partners, table),
         l2l_freq=_frequency_similarity(_matching_cost(rest_a, rest_b, table), original),
-        l2l_first=l2l_first(original, generated),
-        l2l_2gram=l2l_2gram(original, generated),
-        l2l_3gram=l2l_3gram(original, generated),
-        l2l_case=l2l_case(original, generated),
-        smape_et=smape_et(original, generated),
-        smape_ct=smape_ct(original, generated),
+        l2l_first=_first_share(ours, theirs),
+        l2l_2gram=two_grams,
+        l2l_3gram=three_grams,
+        l2l_case=_exact_share(ours, theirs),
+        smape_et=_elapsed_error(ours, theirs),
+        smape_ct=_cycle_error(ours, theirs),
         notes=tuple(notes),
     )

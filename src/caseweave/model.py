@@ -20,7 +20,7 @@ class InputError(ValueError):
     """Malformed input data (bad record, bad file, mismatched logs)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One event of the stream.
 
@@ -28,6 +28,11 @@ class Event:
     stream and identifies the event; two logs over the same stream share event
     identity through it.  ``attributes`` holds the payload beyond activity and
     timestamp and must not be mutated after construction.
+
+    The reader and :func:`build_uncorrelated_log` make every event through
+    one construction path, :func:`_number_events`, which fills the four slots
+    directly rather than through the frozen ``__init__``.  Such an event is as
+    frozen as any other and equals the one ``Event(...)`` builds.
     """
 
     index: int
@@ -110,11 +115,22 @@ def _number_events(
     """The stream of checked records, already in stream order, indexed 1..n.
 
     Each record is ``(timestamp, key, activity, attributes, ...)``; its
-    attributes dict becomes the event's own, uncopied.
+    attributes dict becomes the event's own, uncopied.  Each event is filled
+    through its slots' descriptors, which a frozen instance's ``__setattr__``
+    does not guard.
     """
-    return UncorrelatedLog(
-        tuple([Event(i, r[2], r[0], r[3]) for i, r in enumerate(staged, 1)]), attribute_names
-    )
+    new = object.__new__
+    set_index, set_activity = Event.index.__set__, Event.activity.__set__
+    set_timestamp, set_attributes = Event.timestamp.__set__, Event.attributes.__set__
+    events = []
+    for i, record in enumerate(staged, 1):
+        event = new(Event)
+        set_index(event, i)
+        set_activity(event, record[2])
+        set_timestamp(event, record[0])
+        set_attributes(event, record[3])
+        events.append(event)
+    return UncorrelatedLog(tuple(events), attribute_names)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,10 @@ decoder's runs.  ``read_log_csv_reference`` is the log reader as it was
 before it read rows by column index: a ``csv.DictReader`` dict per row and
 ``strptime`` for every timestamp.  It shares the attribute parse and the
 stream constructor with the package, and counts rows where the package
-counts lines.
+counts lines.  ``case_measures_reference`` scores six of the eight measures
+from their definitions, n-grams as sets of index windows.  ``random_timestamp_cell`` draws timestamp cells at and around
+the default format's fixed width, which the reader must read as
+``parse_timestamp`` does.
 """
 
 from __future__ import annotations
@@ -151,6 +154,70 @@ def brute_force_transport_cost(
         return memo[key]
 
     return best(0, tuple(count for _, count in cols))
+
+
+def case_measures_reference(original: EventLog, generated: EventLog) -> dict[str, float]:
+    """``l2l_first``, the n-gram, case and smape measures, each by its definition.
+
+    Windows of event indices are compared as sets of index tuples; elapsed and
+    cycle times are read off each case's timestamps.  Every sum runs over the
+    original cases in opening order, and over a case's events in stream
+    order, as the package sums them.
+    """
+    def indices(case: Case) -> tuple[int, ...]:
+        return tuple(e.index for e in case.events)
+
+    def windows(case: Case, width: int) -> list[tuple[int, ...]]:
+        run = indices(case)
+        return [run[k : k + width] for k in range(len(run) - width + 1)]
+
+    def elapsed(log: EventLog) -> dict[int, int]:
+        return {
+            e.index: e.timestamp - (case.events[k - 1].timestamp if k else e.timestamp)
+            for case in log.cases
+            for k, e in enumerate(case.events)
+        }
+
+    def smape(left: int, right: int) -> float:
+        return abs(left - right) / (left + right) if left + right > 0 else 0.0
+
+    cases = len(original.cases)
+    non_start = len(original.base.events) - cases
+    by_first = {case.events[0].index: case for case in generated.cases}
+    pairs = [
+        (case, by_first[case.events[0].index])
+        for case in original.cases
+        if case.events[0].index in by_first
+    ]
+    out = {
+        "l2l_first": sum(
+            len(set(indices(case)[1:]) & set(indices(partner)[1:])) for case, partner in pairs
+        ) / non_start if non_start else 0.0,
+        "l2l_case": sum(indices(case) in {indices(c) for c in generated.cases}
+                        for case in original.cases) / cases,
+    }
+    for width in (2, 3):
+        present = {window for case in generated.cases for window in windows(case, width)}
+        total = 0.0
+        for case in original.cases:
+            mine = windows(case, width)
+            if mine:
+                total += sum(window in present for window in mine) / len(mine)
+        out[f"l2l_{width}gram"] = total / cases
+    theirs = elapsed(generated)
+    total = 0.0
+    for index, left in elapsed(original).items():
+        if left + theirs[index] > 0:
+            total += smape(left, theirs[index])
+    out["smape_et"] = total / non_start if non_start else 0.0
+    total = 0.0
+    for case, partner in pairs:
+        left = case.events[-1].timestamp - case.events[0].timestamp
+        right = partner.events[-1].timestamp - partner.events[0].timestamp
+        if left + right > 0:
+            total += smape(left, right)
+    out["smape_ct"] = total / cases
+    return out
 
 
 # --- token game primitives, reimplemented locally ---------------------------
@@ -452,6 +519,50 @@ _TIMESTAMP_SPELLINGS = {
 }
 _ATTRIBUTE_CELLS = ["", "", " ", "  ", "007", "-0", "100", "-3", "0", "x", " y ", "a,b", 'say "hi"',
                     "two\nlines", "\u0663"]
+
+
+# A custom timestamp format without seconds, as ``random_timestamp_cell`` spells it.
+CUSTOM_MINUTE_FORMAT = "%d/%m/%Y %H:%M"
+
+
+def random_timestamp_cell(rng: random.Random, fmt: str) -> str:
+    """A timestamp cell at or near the fixed width of ``fmt``, the default or the custom one.
+
+    About half are valid stamps, some spelled in the other format.  The rest hold an
+    impossible day (29 February of a common year, a 31st of a short month,
+    day or month 0, month 13, year 0), an hour of 24 or a minute of 60, a
+    digit that is not ASCII, a wrong separator, a field a digit short or
+    long, seconds, or padding around the stamp or inside it.  No cell is
+    blank.
+    """
+    year, month, day = rng.choice([1, 999, 1970, 2020, 2021, 9999]), rng.randint(1, 12), rng.randint(1, 28)
+    hour, minute = rng.randint(0, 23), rng.randint(0, 59)
+    roll = rng.random()
+    if roll < 0.1:
+        year, month, day = rng.choice([(2021, 2, 29), (2020, 2, 30), (2020, 4, 31), (2020, 6, 0),
+                                       (2020, 0, 7), (2020, 13, 7), (0, 6, 7), (2020, 2, 29)])
+    elif roll < 0.2:
+        hour, minute = rng.choice([(24, 0), (23, 60), (25, 61), (99, 99), (0, 0), (23, 59)])
+    custom = (fmt == CUSTOM_MINUTE_FORMAT) != (rng.random() < 0.15)
+    spelling = "{2:02d}/{1:02d}/{0:04d} {3:02d}:{4:02d}" if custom else (
+        "{0:04d}-{1:02d}-{2:02d} {3:02d}:{4:02d}"
+    )
+    text = spelling.format(year, month, day, hour, minute)
+    roll = rng.random()
+    if roll < 0.15:  # a digit swapped for another, ASCII or not
+        at = rng.choice([k for k, char in enumerate(text) if char.isdigit()])
+        text = text[:at] + rng.choice("07٣１²") + text[at + 1 :]
+    elif roll < 0.25:  # a separator swapped
+        at = rng.choice([k for k, char in enumerate(text) if not char.isdigit()])
+        text = text[:at] + rng.choice("-/ :T.") + text[at + 1 :]
+    elif roll < 0.4:  # a leading zero dropped, a digit or seconds added, a space doubled
+        text = rng.choice([
+            text.replace("-0", "-", 1), text.replace(" 0", " ", 1), "0" + text, text + "0",
+            text + ":00", text.replace(" ", "  ", 1), text[:-1],
+        ])
+    if rng.random() < 0.15:
+        text = rng.choice([" ", "\t", "  "]) + text + rng.choice(["", " ", "\t"])
+    return text
 
 
 def random_log_csv(rng: random.Random) -> tuple[str, str, dict[int, int]]:

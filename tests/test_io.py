@@ -45,7 +45,9 @@ from conftest import (
     make_loop_net,
     seeded_rng,
 )
-from oracles import random_log_csv, read_log_csv_reference
+from oracles import (
+    CUSTOM_MINUTE_FORMAT, random_log_csv, random_timestamp_cell, read_log_csv_reference,
+)
 
 CLAIMS_FORMAT = "%d/%m/%Y %H:%M"
 
@@ -126,6 +128,38 @@ def test_the_default_format_reads_as_strptime_reads_it():
             assert str(raised.value) == want, text
             failed += 1
     assert parsed >= 1000 and failed >= 1000
+
+
+def test_the_reader_reads_every_timestamp_cell_as_parse_timestamp(tmp_path):
+    """The reader's fixed-width path gives parse_timestamp's minutes, or its refusal."""
+    path = tmp_path / "log.csv"
+    outcomes = Counter()
+    for trial in range(800):
+        rng = seeded_rng("timestamp cells", trial)
+        fmt = rng.choice([DEFAULT_TIMESTAMP_FORMAT, CUSTOM_MINUTE_FORMAT])
+        cells = [random_timestamp_cell(rng, fmt) for _ in range(rng.randint(1, 3))]
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["activity", "timestamp", "row"])
+            writer.writerows(["A", cell, row] for row, cell in enumerate(cells))
+        want: dict[int, int] = {}
+        refusal = None
+        for row, cell in enumerate(cells):
+            try:  # the reader strips a cell before it parses it
+                want[row] = parse_timestamp(cell.strip(), fmt)
+            except InputError as exc:
+                refusal = f"{path}:{row + 2}: {exc}"
+                break
+        if refusal is not None:
+            with pytest.raises(InputError) as raised:
+                read_log_csv(str(path), fmt)
+            assert str(raised.value) == refusal, cells
+            outcomes[fmt, "refused"] += 1
+            continue
+        stream = read_log_csv(str(path), fmt)
+        assert {e.attributes["row"]: e.timestamp for e in stream.events} == want, cells
+        outcomes[fmt, "read"] += len(cells)
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 100, outcomes
 
 
 def test_default_timestamps_round_trip_in_every_year():

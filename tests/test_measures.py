@@ -30,6 +30,7 @@ from oracles import (
     OracleBudget,
     brute_force_matching_cost,
     brute_force_transport_cost,
+    case_measures_reference,
     edit_distance_reference,
 )
 
@@ -291,6 +292,31 @@ def test_paired_log_values(paired_logs):
     assert l2l_case(original, generated) == 0.0
     assert smape_et(original, generated) == pytest.approx(0.347852, abs=1e-6)
     assert smape_ct(original, generated) == pytest.approx(0.248033, abs=1e-6)
+
+
+def test_the_case_measures_match_their_definitions_on_random_correlations():
+    functions = {
+        "l2l_first": l2l_first, "l2l_2gram": l2l_2gram, "l2l_3gram": l2l_3gram,
+        "l2l_case": l2l_case, "smape_et": smape_et, "smape_ct": smape_ct,
+    }
+    for trial in range(500):
+        rng = seeded_rng("case measures", trial)
+        size = rng.randint(1, 20)
+        stream = build_uncorrelated_log(
+            [(rng.choice("ABC"), rng.randint(0, 30), None) for _ in range(size)]
+        )
+        cases = rng.randint(1, size)
+        original = correlate(stream, {i: f"c{rng.randrange(cases)}" for i in range(1, size + 1)})
+        if rng.random() < 0.2:
+            generated = original
+        else:
+            cases = rng.randint(1, size)
+            generated = correlate(stream, {i: f"d{rng.randrange(cases)}" for i in range(1, size + 1)})
+        want = case_measures_reference(original, generated)
+        report = evaluate(original, generated)
+        for name, function in functions.items():
+            assert getattr(report, name) == want[name], (trial, name)
+            assert function(original, generated) == want[name], (trial, name)
 
 
 def test_identical_logs_score_perfect_on_well_formed_cases(paired_logs):

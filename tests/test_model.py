@@ -1,6 +1,9 @@
 """Event stream and case partition plumbing."""
 
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -13,7 +16,7 @@ from caseweave import (
     elapsed_time,
     strip_case_ids,
 )
-from caseweave.model import UncorrelatedLog
+from caseweave.model import UncorrelatedLog, _number_events
 
 from conftest import DEMO_TRUTH, DEMO_X, make_demo_stream, seeded_rng
 from oracles import build_uncorrelated_log_reference
@@ -149,6 +152,30 @@ def test_event_equality_includes_attributes():
     b = Event(1, "A", 0, {"k": "w"})
     assert a != b
     assert hash(a) == hash(b)  # hash ignores attributes, equality does not
+
+
+def test_slot_filled_events_are_the_events_the_constructor_builds():
+    staged = [
+        (0, 1, "A", {}),
+        (5, 2, "B", {"Res": "Kate", "Cost": 7}),
+        (-3, 3, "C", {"k": "v"}),
+        (5, 4, "B", {"Res": "Kate", "Cost": 7}),
+    ]
+    built = [Event(i, activity, ts, attrs) for i, (ts, _key, activity, attrs) in enumerate(staged, 1)]
+    filled = _number_events(staged).events
+    assert list(filled) == built
+    assert [repr(e) for e in filled] == [repr(e) for e in built]
+    assert [hash(e) for e in filled] == [hash(e) for e in built]
+    assert filled[1] != filled[3] and hash(filled[1]) != hash(filled[3])  # only the index differs
+    for event in filled:
+        assert not hasattr(event, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(event)), copy.copy(event), copy.deepcopy(event)):
+            assert type(twin) is Event and twin == event and repr(twin) == repr(event)
+        with pytest.raises(FrozenInstanceError):
+            del event.activity
+        with pytest.raises(FrozenInstanceError):
+            event.activity = "Z"
+        assert event == built[event.index - 1]  # neither refusal changed the event
 
 
 def test_correlate_copies_the_assignment():
