@@ -74,7 +74,6 @@ from .wfnet import (
     Alignment,
     AlignmentCache,
     BudgetExceeded,
-    Move,
     Transition,
     ValidationReport,
     WorkflowNet,

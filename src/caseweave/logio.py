@@ -30,7 +30,7 @@ from xml.etree import ElementTree
 
 from .annealer import IterationRecord
 from .measures import MeasureReport
-from .model import EventLog, InputError, Scalar, UncorrelatedLog, _number_events, correlate
+from .model import EventLog, InputError, Scalar, UncorrelatedLog, _number_events
 from .rules import RuleSet, parse_int, parse_rules, pretty_rules
 from .wfnet import DEFAULT_MARKING_BUDGET, Transition, WorkflowNet
 
@@ -208,8 +208,10 @@ def read_log_csv(
     stream = _number_events(staged, tuple(name for name, _at in attribute_at))
     if filled == 0:
         return stream
+    # The events are numbered 1..n above and every case cell is filled, so the
+    # assignment is a partition into non-empty ids: correlate's checks cannot fail.
     assignment = {index: item[4] for index, item in enumerate(staged, start=1)}
-    return correlate(stream, assignment)
+    return EventLog(base=stream, assignment=assignment)
 
 
 def write_log_csv(

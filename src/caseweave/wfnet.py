@@ -30,8 +30,10 @@ moves on labelled symbols by 1.  So one search settles a cost layer over its
 free moves, in FIFO sub-queues of ascending ``g``, and then seeds the next
 layer from the settled states' cost-1 moves in settle order, in the style of
 Dial's bucket queue.  This reproduces A*'s ``(f, g, push order)`` without a
-heap, and a fitting trace is answered inside the first layer.  The
-``state_budget`` counts each settled state once.
+heap, and a fitting trace is answered inside the first layer.  Each state is
+settled once, and the ``state_budget`` counts settled states.  The search
+keeps only the set of states it has seen, so it returns an alignment's cost,
+not its moves.
 
 The annealer needs only each trace's cost, so :class:`AlignmentCache` memoises
 trace -> cost for one net, under the ``state_budget`` it is built with.
@@ -76,18 +78,10 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
-class Move:
-    """One alignment move: 'sync', 'model' (activity None if silent), or 'log'."""
-
-    kind: str
-    activity: str | None
-    transition: str | None
-
-
-@dataclass(frozen=True)
 class Alignment:
+    """An optimal alignment's cost; the search keeps no moves."""
+
     cost: int
-    moves: tuple[Move, ...]
 
 
 class MarkingNode:
@@ -380,9 +374,8 @@ def _final_reachable(net: WorkflowNet) -> bool:
     return any(node.holds(out_place) for node in net.initial.reachable(silent_only=False))
 
 
-# A search state, and its link to (previous state, move kind, transition).
+# A search state: a marking node and a trace position.
 _State = tuple[MarkingNode, int]
-_Parents = dict[_State, tuple[_State, str, Transition | None] | None]
 
 
 def align_trace(
@@ -399,10 +392,11 @@ def align_trace(
     a layer is settled over its free moves alone, as FIFO sub-queues in
     ascending ``g``; its settled states, walked in settle order, then seed the
     next layer with their cost-1 moves.  That is A*'s ``(f, g, push order)``
-    order with a consistent heuristic, and a state's first parent link is
-    final.  Raises BudgetExceeded once ``state_budget`` states are settled and
-    another is needed; each state is settled once, in an order that does not
-    depend on the budget.  Callers treat that as an infinite cost.
+    order with a consistent heuristic, so each state is settled once, at its
+    least cost, and a state seen before is never queued again.  Only the cost
+    is returned.  Raises BudgetExceeded once ``state_budget`` states are
+    settled and another is needed; the settle order does not depend on the
+    budget.  Callers treat that as an infinite cost.
     """
     trace = tuple(trace)
     n = len(trace)
@@ -414,7 +408,7 @@ def align_trace(
 
     out_place = net.output_place
     start = (net.initial, 0)
-    parent: _Parents = {start: None}
+    seen: set[_State] = {start}
     # queues[k]: the current layer's states with h[pos] == k, so with g == f - k.
     queues: list[list[_State]] = [[] for _ in range(h0 + 1)]
     queues[h0].append(start)
@@ -423,27 +417,26 @@ def align_trace(
     while True:
         for k in range(h0, -1, -1):  # descending h is ascending g
             queue = queues[k]
-            for state in queue:  # the list grows behind the loop: a FIFO queue
+            for node, pos in queue:  # the list grows behind the loop: a FIFO queue
                 settled += 1
                 if settled > state_budget:
                     raise BudgetExceeded(f"alignment exceeded {state_budget} states")
-                node, pos = state
                 if pos == n and node.holds(out_place):
-                    return Alignment(cost=f, moves=_walk_back(parent, state, trace))
+                    return Alignment(cost=f)
                 for t, nxt in node.successors():
                     if t.label is None:
-                        nstate, kind = (nxt, pos), "model"
+                        nstate = (nxt, pos)
                     elif pos < n and t.label == trace[pos]:
-                        nstate, kind = (nxt, pos + 1), "sync"
+                        nstate = (nxt, pos + 1)
                     else:
                         continue
-                    if nstate not in parent:
-                        parent[nstate] = (state, kind, t)
+                    if nstate not in seen:
+                        seen.add(nstate)
                         queue.append(nstate)
                 if k and trace[pos] not in labels:  # k > 0 means pos < n
                     nstate = (node, pos + 1)
-                    if nstate not in parent:
-                        parent[nstate] = (state, "log", None)
+                    if nstate not in seen:
+                        seen.add(nstate)
                         queues[k - 1].append(nstate)
 
         # The layer's states, in settle order, seed the next layer with their
@@ -451,14 +444,13 @@ def align_trace(
         seeds: list[list[_State]] = [[] for _ in range(h0 + 1)]
         for k in range(h0, -1, -1):
             seed = seeds[k]
-            for state in queues[k]:
-                node, pos = state
+            for node, pos in queues[k]:
                 for t, nxt in node.successors():
-                    if t.label is not None and (nxt, pos) not in parent:
-                        parent[nxt, pos] = (state, "model", t)
+                    if t.label is not None and (nxt, pos) not in seen:
+                        seen.add((nxt, pos))
                         seed.append((nxt, pos))
-                if pos < n and trace[pos] in labels and (node, pos + 1) not in parent:
-                    parent[node, pos + 1] = (state, "log", None)
+                if pos < n and trace[pos] in labels and (node, pos + 1) not in seen:
+                    seen.add((node, pos + 1))
                     seed.append((node, pos + 1))
         if not any(seeds):
             raise BudgetExceeded(
@@ -466,16 +458,6 @@ def align_trace(
             )
         queues = seeds
         f += 1
-
-
-def _walk_back(parent: _Parents, state: _State, trace: tuple[str, ...]) -> tuple[Move, ...]:
-    """The moves from the start state to ``state``; a log move has no transition."""
-    moves: list[Move] = []
-    while (link := parent[state]) is not None:
-        state, kind, t = link
-        activity, tid = (trace[state[1]], None) if t is None else (t.label, t.tid)
-        moves.append(Move(kind, activity, tid))
-    return tuple(reversed(moves))
 
 
 def _replays(net: WorkflowNet, trace: tuple[str, ...]) -> bool:

@@ -18,11 +18,13 @@ replays cases in the dict token game and scores candidates with
 the timed token game on per-place lists of ready times with its own enabling
 scan, sharing only the duration default and the step cap.  The exception is
 ``astar_align_reference``: the heap A* that the layered alignment search
-replaced, kept to pin its settle order.  It walks the package's marking table
-and shares ``_walk_back``.  ``build_uncorrelated_log_reference`` is the stream
-builder as it was before it sorted without a key, kept to pin its events and
-its errors.  ``changed_cases_reference`` regroups the cases a proposal
-changed from the two assignments, where the annealer reads them from the
+replaced, kept to pin its settle order and cost.  It walks the package's
+marking table, and it alone keeps parent links: its ``_walk_back`` turns them
+into the ``Move`` sequence that the package's cost-only search never builds.
+``build_uncorrelated_log_reference`` is the stream builder as it was before
+it sorted without a key, kept to pin its events and its errors.
+``changed_cases_reference`` regroups the cases a proposal changed from the
+two assignments, where the annealer reads them from the
 decoder's runs.  ``read_log_csv_reference`` is the log reader as it was
 before it read rows by column index: a ``csv.DictReader`` dict per row and
 ``strptime`` for every timestamp.  It shares the attribute parse and the
@@ -47,7 +49,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from caseweave import (
-    Alignment, BudgetExceeded, Case, Event, EventLog, InputError, RuleSet,
+    BudgetExceeded, Case, Event, EventLog, InputError, RuleSet,
     SimulationConfig, Transition, UncorrelatedLog, WorkflowNet, build_uncorrelated_log, correlate,
 )
 from caseweave.logio import (
@@ -64,7 +66,7 @@ from caseweave.rules import (
     _compare,
 )
 from caseweave.simulate import DEFAULT_DURATION, MAX_STEPS_PER_CASE
-from caseweave.wfnet import MarkingNode, _Parents, _State, _walk_back
+from caseweave.wfnet import MarkingNode, _State
 
 
 class OracleBudget(Exception):
@@ -313,13 +315,43 @@ def brute_force_alignment_cost(
     return min(edit_distance_reference(trace, word) for word in candidates)
 
 
+@dataclasses.dataclass(frozen=True)
+class Move:
+    """One alignment move: 'sync', 'model' (activity None if silent), or 'log'."""
+
+    kind: str
+    activity: str | None
+    transition: str | None
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceAlignment:
+    cost: int
+    moves: tuple[Move, ...]
+
+
+# A search state's link to (previous state, move kind, transition).
+_Parents = dict[_State, tuple[_State, str, Transition | None] | None]
+
+
+def _walk_back(parent: _Parents, state: _State, trace: tuple[str, ...]) -> tuple[Move, ...]:
+    """The moves from the start state to ``state``; a log move has no transition."""
+    moves: list[Move] = []
+    while (link := parent[state]) is not None:
+        state, kind, t = link
+        activity, tid = (trace[state[1]], None) if t is None else (t.label, t.tid)
+        moves.append(Move(kind, activity, tid))
+    return tuple(reversed(moves))
+
+
 def astar_align_reference(
     net: WorkflowNet, trace: tuple[str, ...], state_budget: int
-) -> Alignment:
+) -> ReferenceAlignment:
     """A* over (marking node, trace position) states, popped by ``(f, g, counter)``.
 
     The heap search ``align_trace`` replaced, kept to pin its settle order: the
-    same cost, moves and budget failure point are expected of the package.
+    same cost and budget failure point are expected of the package, and the
+    moves let a test replay an optimal alignment on the reference token game.
 
     The heuristic is consistent, so a state's cost is final once settled and a
     heap entry above the state's best cost is stale.
@@ -346,7 +378,7 @@ def astar_align_reference(
             raise BudgetExceeded(f"alignment exceeded {state_budget} states")
         node, pos = state
         if pos == n and node.holds(out_place):
-            return Alignment(cost=g, moves=_walk_back(parent, state, trace))
+            return ReferenceAlignment(cost=g, moves=_walk_back(parent, state, trace))
         edges: list[tuple[MarkingNode, int, int, str, Transition | None]] = []
         for t, nxt in node.successors():
             if t.label is None:
