@@ -137,12 +137,13 @@ def read_log_csv(
     fully empty one reads as uncorrelated.  An empty attribute cell reads as
     a missing attribute; the stream keeps the header's attribute columns as
     its ``attribute_names``, so a column with no filled cell is written back.
-    A repeated column name, a byte that is not UTF-8 and a bad row raise
-    InputError naming the file and line.
+    A leading UTF-8 byte-order mark is dropped.  A repeated column name, a
+    byte that is not UTF-8 and a bad row raise InputError naming the file
+    and line.
     """
     staged: list[tuple[int, int, str, dict[str, Scalar], str]] = []
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, [])
             for required in (ACTIVITY_COLUMN, TIMESTAMP_COLUMN):
@@ -336,7 +337,7 @@ def read_pnml(path: str, marking_budget: int = DEFAULT_MARKING_BUDGET) -> Workfl
 
 def read_rules_file(path: str) -> RuleSet:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError:
         raise _not_utf8(path) from None

@@ -21,19 +21,19 @@ it is built: every silent closure and the reachability check of
 :func:`validate_net` stop past that many distinct markings.
 
 Alignment follows the usual move costs: synchronous moves and silent model
-moves are free, visible model moves and log moves cost 1.  It searches
-(marking node, trace position) states in the order of A* whose consistent
-heuristic counts the trace symbols that label no transition at all.  Under
-that heuristic every move raises ``f = g + h`` by 0 or 1: silent and sync
-moves and log moves on unlabelled symbols by 0, visible model moves and log
-moves on labelled symbols by 1.  So one search settles a cost layer over its
-free moves, in FIFO sub-queues of ascending ``g``, and then seeds the next
-layer from the settled states' cost-1 moves in settle order, in the style of
-Dial's bucket queue.  This reproduces A*'s ``(f, g, push order)`` without a
-heap, and a fitting trace is answered inside the first layer.  Each state is
-settled once, and the ``state_budget`` counts settled states.  The search
-keeps only the set of states it has seen, so it returns an alignment's cost,
-not its moves.
+moves are free, visible model moves and log moves cost 1 (Adriansyah, van
+Dongen and van der Aalst, EDOC 2011).  A trace symbol that labels no
+transition can only be a log move, so it costs exactly 1 and is dropped
+before the search, which has no heuristic.  The search walks (marking node,
+position) states, the position counting the trace's labelled symbols only.
+Every move costs 0 or 1, so one search settles a cost layer over its free
+moves in one FIFO queue, and then seeds the next layer from the settled
+states' cost-1 moves in settle order, in the style of Dial's bucket queue.
+This is Dijkstra's order with ties in push order, without a heap, and a
+fitting trace is answered inside the first layer.  Each state is settled
+once, and the ``state_budget`` counts settled states.  The search keeps only
+the set of states it has seen, so it returns an alignment's cost, not its
+moves.
 
 The annealer needs only each trace's cost, so :class:`AlignmentCache` memoises
 trace -> cost for one net, under the ``state_budget`` it is built with.
@@ -385,79 +385,66 @@ def align_trace(
 ) -> Alignment:
     """Minimum-cost alignment of ``trace`` against the net's runs.
 
-    Cost 0 if and only if the trace is the visible projection of a run.  The
-    search settles (marking node, trace position) states one cost layer
-    ``f = g + h`` at a time, where ``h[pos]`` counts the symbols at or after
-    ``pos`` that no transition labels.  Every move raises ``f`` by 0 or 1, so
-    a layer is settled over its free moves alone, as FIFO sub-queues in
-    ascending ``g``; its settled states, walked in settle order, then seed the
-    next layer with their cost-1 moves.  That is A*'s ``(f, g, push order)``
-    order with a consistent heuristic, so each state is settled once, at its
-    least cost, and a state seen before is never queued again.  Only the cost
-    is returned.  Raises BudgetExceeded once ``state_budget`` states are
-    settled and another is needed; the settle order does not depend on the
-    budget.  Callers treat that as an infinite cost.
+    Cost 0 if and only if the trace is the visible projection of a run.  A
+    symbol that no transition labels can only be a log move, so each adds 1
+    to the cost and the search runs on the trace's labelled symbols alone.
+    It settles (marking node, position) states, the position counting
+    labelled symbols only, one cost layer at a time: a layer is one FIFO
+    queue closed under the free moves, and its settled states, walked in
+    settle order, then seed the next layer with their cost-1 moves.  That is
+    Dijkstra's order with ties in push order, so each state is settled once,
+    at its least cost, and a state seen before is never queued again.  Only
+    the cost is returned.  Raises BudgetExceeded once ``state_budget`` states
+    are settled and another is needed; the settle order does not depend on
+    the budget.  Callers treat that as an infinite cost.
     """
     trace = tuple(trace)
-    n = len(trace)
     labels = net.labels
-    # h[pos], the symbols at or after pos that no transition can ever match, is
-    # the index of a state's sub-queue; only h[0] is needed, and it is 0 for a
-    # trace of labelled symbols.
-    h0 = 0 if labels.issuperset(trace) else sum(symbol not in labels for symbol in trace)
+    labelled = trace if labels.issuperset(trace) else tuple(s for s in trace if s in labels)
+    n = len(labelled)
+    cost = len(trace) - n  # one log move per unlabelled symbol
 
     out_place = net.output_place
     start = (net.initial, 0)
     seen: set[_State] = {start}
-    # queues[k]: the current layer's states with h[pos] == k, so with g == f - k.
-    queues: list[list[_State]] = [[] for _ in range(h0 + 1)]
-    queues[h0].append(start)
-    f = h0
+    queue = [start]
     settled = 0
     while True:
-        for k in range(h0, -1, -1):  # descending h is ascending g
-            queue = queues[k]
-            for node, pos in queue:  # the list grows behind the loop: a FIFO queue
-                settled += 1
-                if settled > state_budget:
-                    raise BudgetExceeded(f"alignment exceeded {state_budget} states")
-                if pos == n and node.holds(out_place):
-                    return Alignment(cost=f)
-                for t, nxt in node.successors():
-                    if t.label is None:
-                        nstate = (nxt, pos)
-                    elif pos < n and t.label == trace[pos]:
-                        nstate = (nxt, pos + 1)
-                    else:
-                        continue
-                    if nstate not in seen:
-                        seen.add(nstate)
-                        queue.append(nstate)
-                if k and trace[pos] not in labels:  # k > 0 means pos < n
-                    nstate = (node, pos + 1)
-                    if nstate not in seen:
-                        seen.add(nstate)
-                        queues[k - 1].append(nstate)
+        for node, pos in queue:  # the list grows behind the loop: a FIFO queue
+            settled += 1
+            if settled > state_budget:
+                raise BudgetExceeded(f"alignment exceeded {state_budget} states")
+            if pos == n and node.holds(out_place):
+                return Alignment(cost=cost)
+            for t, nxt in node.successors():
+                if t.label is None:
+                    nstate = (nxt, pos)
+                elif pos < n and t.label == labelled[pos]:
+                    nstate = (nxt, pos + 1)
+                else:
+                    continue
+                if nstate not in seen:
+                    seen.add(nstate)
+                    queue.append(nstate)
 
         # The layer's states, in settle order, seed the next layer with their
-        # cost-1 moves; these keep h, so a seed joins its source's sub-queue.
-        seeds: list[list[_State]] = [[] for _ in range(h0 + 1)]
-        for k in range(h0, -1, -1):
-            seed = seeds[k]
-            for node, pos in queues[k]:
-                for t, nxt in node.successors():
-                    if t.label is not None and (nxt, pos) not in seen:
-                        seen.add((nxt, pos))
-                        seed.append((nxt, pos))
-                if pos < n and trace[pos] in labels and (node, pos + 1) not in seen:
-                    seen.add((node, pos + 1))
-                    seed.append((node, pos + 1))
-        if not any(seeds):
+        # cost-1 moves: visible model moves and log moves.  Seeding once the
+        # layer is settled spares the work in the layer where the search stops.
+        seeds: list[_State] = []
+        for node, pos in queue:
+            for t, nxt in node.successors():
+                if t.label is not None and (nxt, pos) not in seen:
+                    seen.add((nxt, pos))
+                    seeds.append((nxt, pos))
+            if pos < n and (node, pos + 1) not in seen:
+                seen.add((node, pos + 1))
+                seeds.append((node, pos + 1))
+        if not seeds:
             raise BudgetExceeded(
                 "alignment search space exhausted without reaching a final marking"
             )
-        queues = seeds
-        f += 1
+        queue = seeds
+        cost += 1
 
 
 def _replays(net: WorkflowNet, trace: tuple[str, ...]) -> bool:

@@ -18,7 +18,8 @@ replays cases in the dict token game and scores candidates with
 the timed token game on per-place lists of ready times with its own enabling
 scan, sharing only the duration default and the step cap.  The exception is
 ``astar_align_reference``: the heap A* that the layered alignment search
-replaced, kept to pin its settle order and cost.  It walks the package's
+replaced, kept to pin its settle order on traces of labelled symbols and
+its cost on every trace.  It walks the package's
 marking table, and it alone keeps parent links: its ``_walk_back`` turns them
 into the ``Move`` sequence that the package's cost-only search never builds.
 ``build_uncorrelated_log_reference`` is the stream builder as it was before
@@ -349,9 +350,12 @@ def astar_align_reference(
 ) -> ReferenceAlignment:
     """A* over (marking node, trace position) states, popped by ``(f, g, counter)``.
 
-    The heap search ``align_trace`` replaced, kept to pin its settle order: the
-    same cost and budget failure point are expected of the package, and the
-    moves let a test replay an optimal alignment on the reference token game.
+    The heap search ``align_trace`` replaced.  On a trace of labelled symbols
+    it pins the package's settle order: the same cost and budget failure point
+    are expected.  On every trace it pins the cost; the package drops the
+    symbols no transition labels before it searches, so only there may it
+    settle fewer states.  The moves let a test replay an optimal alignment on
+    the reference token game.
 
     The heuristic is consistent, so a state's cost is final once settled and a
     heap entry above the state's best cost is stale.
@@ -497,7 +501,7 @@ def read_log_csv_reference(path: str, timestamp_format: str = DEFAULT_TIMESTAMP_
     A bad row is named by its count of non-blank rows, the header being 1.
     The stream's ``attribute_names`` are the header's attribute columns.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         for required in (ACTIVITY_COLUMN, TIMESTAMP_COLUMN):

@@ -308,6 +308,32 @@ def test_missing_required_columns_are_reported(tmp_path):
         read_log_csv(str(path))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "case_id,activity,timestamp,Note\n"
+        "c1,A,2020-01-01 00:00,x\nc2,B,2020-01-01 00:30,\nc1,C,2020-01-01 01:00,y\n",
+        "activity,case_id,timestamp,Note\n"
+        "A,c1,2020-01-01 00:00,x\nB,c2,2020-01-01 00:30,\nC,c1,2020-01-01 01:00,y\n",
+    ],
+    ids=["case column first", "activity column first"],
+)
+def test_a_leading_byte_order_mark_is_read_and_dropped(tmp_path, text):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF, which must not become
+    # part of the first column's name
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want = read_log_csv(str(plain))
+    for read in (read_log_csv, read_log_csv_reference):
+        got = read(str(marked))
+        assert isinstance(got, EventLog), read
+        assert got.base.events == want.base.events, read
+        assert got.base.attribute_names == ("Note",), read
+        assert got.assignment == want.assignment == {1: "c1", 2: "c2", 3: "c1"}, read
+
+
 def test_bad_rows_name_their_line(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text(
@@ -468,6 +494,12 @@ def test_rules_file_round_trip(tmp_path, demo_rules):
     assert read_rules_file(str(path)) == demo_rules
     fixture = read_rules_file(str(FIXTURES / "claim_rules.txt"))
     assert fixture == parse_rules(DEMO_RULES_TEXT)
+
+
+def test_a_rules_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text(DEMO_RULES_TEXT, encoding="utf-8-sig")
+    assert read_rules_file(str(path)) == parse_rules(DEMO_RULES_TEXT)
 
 
 def test_iteration_trace_file(tmp_path, demo_net, demo_rules):
@@ -632,6 +664,15 @@ def test_cli_evaluate_rejects_streams(workspace, capsys):
     ])
     assert code == 1
     assert "case column" in capsys.readouterr().err
+
+
+def test_cli_evaluates_a_correlated_log_with_a_byte_order_mark(workspace, capsys):
+    marked = workspace / "marked.csv"
+    write_log_csv(correlate(make_demo_stream(), DEMO_TRUTH), str(marked))
+    marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+    code = main(["evaluate", "--original", str(marked), "--generated", str(marked)])
+    assert code == 0, capsys.readouterr().err
+    assert "l2l_case: 1.000000" in capsys.readouterr().out
 
 
 def test_cli_check_rules(workspace, capsys):

@@ -455,8 +455,9 @@ def test_alignment_state_budget(demo_net):
         ("loop", "AEF", 11, 1),
         ("loop", "ABBDFE", 11, 0),
         ("loop", "ABCE", 22, 1),
-        ("loop", "Z", 18, 5),
+        ("loop", "Z", 9, 5),
         ("loop", "ADDEF", 25, 2),
+        ("loop", "zABBDz", 33, 4),
     ],
 )
 def test_alignment_needs_exactly_the_pinned_state_budget(net_name, trace, budget, cost):
@@ -476,8 +477,10 @@ def _outcome(align, net: WorkflowNet, trace: tuple[str, ...], budget: int):
 
 
 def test_align_trace_matches_the_astar_reference():
-    # align_trace must equal the heap A* it replaced: the same cost, or the
-    # same BudgetExceeded message, at every budget.  The reference's moves
+    # On the trace's labelled symbols, align_trace must equal the heap A* it
+    # replaced: the same cost, or the same BudgetExceeded message, at every
+    # budget.  Each unlabelled symbol adds one log move; with it, the cost
+    # still equals the reference's on the full trace.  The reference's moves
     # replay its alignment.
     budgets = (1, 2, 3, 5, 8, 13, 40, wfnet_module.DEFAULT_STATE_BUDGET)
     unlabelled = non_fitting = 0
@@ -487,20 +490,49 @@ def test_align_trace_matches_the_astar_reference():
         traces = [tuple(sample_run_projection(net, rng)) for _ in range(3)]
         traces += [random_trace(net, rng) for _ in range(3)]
         for trace in traces:
+            labelled = tuple(symbol for symbol in trace if symbol in net.labels)
+            foreign = len(trace) - len(labelled)
             for budget in budgets:
                 got = _outcome(align_trace, net, trace, budget)
-                want = _outcome(astar_align_reference, net, trace, budget)
+                want = _outcome(astar_align_reference, net, labelled, budget)
                 if isinstance(want, str):
                     assert got == want, (trial, trace, budget)
                 else:
-                    assert got.cost == want.cost, (trial, trace, budget)
-                    replay_alignment(net, trace, want)
-            # only a symbol no transition labels reaches a layer's later sub-queues
-            unlabelled += not net.labels.issuperset(trace)
+                    assert got.cost == want.cost + foreign, (trial, trace, budget)
+                    replay_alignment(net, labelled, want)
             # the default budget comes last, and no random net exhausts it
+            full = astar_align_reference(net, trace, wfnet_module.DEFAULT_STATE_BUDGET)
+            assert got.cost == full.cost, (trial, trace)
+            # the search drops a symbol no transition labels before it starts
+            unlabelled += foreign > 0
             non_fitting += got.cost > 0
     assert unlabelled >= 400
     assert non_fitting >= 500
+
+
+def test_an_unlabelled_symbol_costs_one_move_and_adds_no_state():
+    # A symbol no transition labels is a log move wherever it sits: it adds 1
+    # to the cost and no state, so each budget ends as it does without it.
+    budgets = (1, 2, 3, 5, 8, 13, 40)
+    checked = 0
+    for trial in range(150):
+        rng = seeded_rng("wfnet-unlabelled", trial)
+        net = random_structured_net(rng)
+        trace = random_trace(net, rng)
+        labelled = [symbol for symbol in trace if symbol in net.labels]
+        padded = list(labelled)
+        inserted = rng.randint(1, 3)
+        for _ in range(inserted):
+            padded.insert(rng.randint(0, len(padded)), rng.choice(["x", "y", "zz"]))
+        for budget in budgets:
+            plain = _outcome(align_trace, net, tuple(labelled), budget)
+            got = _outcome(align_trace, net, tuple(padded), budget)
+            if isinstance(plain, str):
+                assert got == plain, (trial, padded, budget)
+            else:
+                assert got.cost == plain.cost + inserted, (trial, padded, budget)
+                checked += 1
+    assert checked >= 300  # 445
 
 
 @pytest.mark.parametrize("trace", [(), ("A", "B"), ("A", "z", "C")])
